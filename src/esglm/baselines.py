@@ -109,9 +109,3 @@ def predict(model: NaiveBayesModel, bag: Counter) -> str:
     scores = class_log_scores(model, bag)
     best = max(scores.values())
     return min(c for c, s in scores.items() if s == best)
-
-
-def nb_accuracy(model: NaiveBayesModel, rows: list[tuple[Counter, str]]) -> float:
-    if not rows:
-        return 0.0
-    return sum(1 for bag, label in rows if predict(model, bag) == label) / len(rows)

@@ -15,20 +15,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import baselines, data
 from .checkpoint import CheckpointMeta, load_checkpoint, save_checkpoint
-from .errors import (
-    CheckpointMismatch,
-    ConfigError,
-    DataError,
-    EsglmError,
-    ParseError,
-)
+from .errors import CheckpointMismatch, ConfigError, DataError, EsglmError
 from .extract import (
     DEFAULT_BENCHMARK,
     DanEmbedder,
@@ -37,8 +31,9 @@ from .extract import (
     segment_sentences,
 )
 from .harness import (
+    SPLIT_NAMES,
     Metrics,
-    SplitMetrics,
+    confusion,
     emit_report,
     evaluate_all,
     run_finetune,
@@ -182,7 +177,6 @@ def cmd_pretrain(args, cfg: PipelineConfig) -> int:
     mc = MaskingConfig(
         mask_rate=cfg.mask_rate, replace_with_mask=cfg.mask_prob,
         replace_with_random=cfg.random_prob, keep_original=cfg.keep_prob,
-        seed=cfg.seed,
     )
     params = init_params(config, seed=cfg.seed)
     params, trace = run_pretraining(corpus, vocab, params, config, tc, mc)
@@ -234,49 +228,12 @@ def cmd_extract(args, cfg: PipelineConfig) -> int:
     return 0
 
 
-def _load_extracted(path) -> list[dict]:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rows.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from None
-    if not rows:
-        raise DataError(f"{path}: no extracted documents")
-    return rows
-
-
 def cmd_dataset(args, cfg: PipelineConfig) -> int:
-    extracted = _load_extracted(args.extracted)
+    extracted = data.load_extracted(args.extracted)
     scores = data.load_scores(args.scores)
     labels = data.derive_all_labels(scores, cfg.change_epsilon)
     task = args.task
-
-    wanted = {
-        (row.ticker, row.year, row.quarter): row
-        for row in labels
-        if task == "a" or row.task_a_label == "change"
-    }
-    examples: list[data.LabeledExample] = []
-    unmatched_docs = 0
-    for rec in sorted(extracted, key=lambda r: r["doc_id"]):
-        row = wanted.pop((rec["ticker"], rec["year"], rec["quarter"]), None)
-        if row is None:
-            unmatched_docs += 1
-            continue
-        examples.append(data.LabeledExample(
-            doc_id=rec["doc_id"], ticker=rec["ticker"], year=rec["year"],
-            quarter=rec["quarter"], delta=row.delta,
-            task_a_label=row.task_a_label, task_b_label=row.task_b_label,
-            text=" ".join(s["text"] for s in rec["selected"]),
-            input_ids=np.asarray(rec["input_ids"], dtype=np.int64),
-            real_len=rec["real_len"],
-        ))
-    if not examples:
-        raise DataError("no extracted documents matched any label")
+    examples, join = data.build_dataset(extracted, labels, task)
 
     fractions = _parse_split(args.split if args.split else cfg.split)
     seed = args.seed if args.seed is not None else cfg.seed
@@ -292,50 +249,45 @@ def cmd_dataset(args, cfg: PipelineConfig) -> int:
         "seed": seed,
         "fractions": list(fractions),
         "change_epsilon": cfg.change_epsilon,
-        "vocab_size": extracted[0].get("vocab_size"),
+        "vocab_size": extracted[0]["vocab_size"],
         "max_seq_len": len(examples[0].input_ids),
         "counts": {
             "train": len(splits[0]), "val": len(splits[1]),
             "test": len(splits[2]),
         },
-        "join": {
-            "matched": len(examples),
-            "unmatched_filings": unmatched_docs,
-            "unmatched_labels": len(wanted),
-        },
+        "join": asdict(join),
     }
     data.save_dataset_splits(splits, meta, args.out)
 
-    sent_lengths = [
-        n for rec in extracted for n in rec.get("sentence_token_lengths", [])
-    ]
+    sent_lengths = [n for rec in extracted for n in rec["sentence_token_lengths"]]
     stats = data.eda_stats(
         labels, sent_lengths,
         delta_bins=cfg.delta_bins, sentlen_bin_width=cfg.sentlen_bin_width,
     )
     data.write_eda(stats, args.out)
     print(
-        f"dataset: task {task}, {len(examples)} examples "
+        f"dataset: task {task}, {join.matched} examples "
         f"(train {meta['counts']['train']} / val {meta['counts']['val']} / "
         f"test {meta['counts']['test']}), "
-        f"unmatched filings {unmatched_docs}, unmatched labels {len(wanted)}"
+        f"unmatched filings {join.unmatched_filings}, "
+        f"unmatched labels {join.unmatched_labels}"
     )
     print(f"dataset: zero-delta fraction {stats.zero_delta_fraction:.4f}")
     return 0
 
 
-def _load_split_examples(data_dir):
-    meta, splits = data.load_dataset_splits(data_dir)
-    return meta, {
-        "train": splits["train"], "validation": splits["val"],
-        "test": splits["test"],
-    }
+def _print_accuracies(stage: str, metrics: Metrics) -> None:
+    for split_name in SPLIT_NAMES:
+        print(
+            f"{stage} [{metrics.model_name}] {split_name} accuracy: "
+            f"{metrics.splits[split_name].accuracy:.4f}"
+        )
 
 
 def cmd_finetune(args, cfg: PipelineConfig) -> int:
     if bool(args.ckpt) == bool(args.fresh):
         raise ConfigError("exactly one of --ckpt or --fresh is required")
-    meta, splits = _load_split_examples(args.data)
+    meta, splits = data.load_dataset_splits(args.data)
     task = args.task
     if meta.get("task") not in (task, None):
         raise CheckpointMismatch(
@@ -374,67 +326,42 @@ def cmd_finetune(args, cfg: PipelineConfig) -> int:
     )
     save_checkpoint(params, config, out_meta, args.out)
     metrics.save(args.metrics)
-    for split_name in ("train", "validation", "test"):
-        print(
-            f"finetune [{name}] {split_name} accuracy: "
-            f"{metrics.splits[split_name].accuracy:.4f}"
-        )
+    _print_accuracies("finetune", metrics)
     return 0
 
 
-def _confusion(preds: list[str], labels: list[str], pos: str) -> SplitMetrics:
-    tp = sum(1 for p, t in zip(preds, labels) if p == t == pos)
-    tn = sum(1 for p, t in zip(preds, labels) if p == t != pos)
-    fp = sum(1 for p, t in zip(preds, labels) if p == pos != t)
-    fn = sum(1 for p, t in zip(preds, labels) if t == pos != p)
-    return SplitMetrics(
-        accuracy=(tp + tn) / len(labels) if labels else 0.0,
-        n=len(labels), tp=tp, fp=fp, tn=tn, fn=fn,
-    )
-
-
 def cmd_baseline(args, cfg: PipelineConfig) -> int:
-    meta, splits = _load_split_examples(args.data)
+    meta, splits = data.load_dataset_splits(args.data)
     task = meta.get("task", args.task)
-    pos = "change" if task == "a" else "positive"
+    classes = data.TASK_A_CLASSES if task == "a" else data.TASK_B_CLASSES
     if args.model == "common":
         train_labels = [e.label(task) for e in splits["train"]]
         model, _ = baselines.fit_predict_common_class(train_labels, train_labels)
-        split_metrics = {
-            name: _confusion(
-                [model.predicted_class] * len(examples),
-                [e.label(task) for e in examples], pos,
-            )
-            for name, examples in splits.items()
-        }
-        metrics = Metrics(
-            model_name="common_class", task=task, splits=split_metrics,
-            config={"predicted_class": model.predicted_class},
-        )
+        name, echo = "common_class", {"predicted_class": model.predicted_class}
+
+        def predict(example):
+            return model.predicted_class
     else:
         train_rows = [
             (baselines.word_bag(e.text), e.label(task)) for e in splits["train"]
         ]
         model = baselines.fit_naive_bayes(train_rows, alpha=cfg.nb_alpha)
-        split_metrics = {}
-        for name, examples in splits.items():
-            preds = [
-                baselines.predict(model, baselines.word_bag(e.text))
-                for e in examples
-            ]
-            split_metrics[name] = _confusion(
-                preds, [e.label(task) for e in examples], pos
+        name, echo = "naive_bayes", {"alpha": cfg.nb_alpha}
+
+        def predict(example):
+            return baselines.predict(model, baselines.word_bag(example.text))
+    metrics = Metrics(
+        model_name=name, task=task, config=echo,
+        splits={
+            split: confusion(
+                [classes.index(predict(e)) for e in examples],
+                [e.label_index(task) for e in examples],
             )
-        metrics = Metrics(
-            model_name="naive_bayes", task=task, splits=split_metrics,
-            config={"alpha": cfg.nb_alpha},
-        )
+            for split, examples in splits.items()
+        },
+    )
     metrics.save(args.metrics)
-    for split_name in ("train", "validation", "test"):
-        print(
-            f"baseline [{metrics.model_name}] {split_name} accuracy: "
-            f"{metrics.splits[split_name].accuracy:.4f}"
-        )
+    _print_accuracies("baseline", metrics)
     return 0
 
 
@@ -444,7 +371,7 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
         raise CheckpointMismatch(
             f"evaluate needs a finetuned checkpoint, got stage {ck_meta.stage!r}"
         )
-    meta, splits = _load_split_examples(args.data)
+    meta, splits = data.load_dataset_splits(args.data)
     task = ck_meta.stage.removeprefix("finetuned_")
     if meta.get("task") not in (task, None):
         raise CheckpointMismatch(
@@ -455,11 +382,7 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
         {"checkpoint": str(args.ckpt)},
     )
     metrics.save(args.metrics)
-    for split_name in ("train", "validation", "test"):
-        print(
-            f"evaluate [{args.name}] {split_name} accuracy: "
-            f"{metrics.splits[split_name].accuracy:.4f}"
-        )
+    _print_accuracies("evaluate", metrics)
     return 0
 
 

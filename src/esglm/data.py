@@ -25,11 +25,13 @@ from .errors import (
     ParseError,
     StratificationError,
 )
-from .tokenizer import Vocab, encode, prepare_input
-from .extract import segment_sentences
 
 TASK_A_CLASSES = ("no_change", "change")
 TASK_B_CLASSES = ("negative", "positive")
+
+SPLIT_NAMES = ("train", "validation", "test")
+# file stem of each split; val.jsonl holds the validation split
+_SPLIT_FILES = ("train", "val", "test")
 
 SCORES_HEADER = ["ticker", "year", "quarter", "env_score"]
 
@@ -240,45 +242,72 @@ def derive_all_labels(
     return out
 
 
-def build_dataset(
-    filings: list[FilingDoc],
-    labels: list[LabelRow],
-    extractor,
-    task: str,
-    max_seq_len: int = 512,
-) -> tuple[list[LabeledExample], JoinReport]:
-    """Inner-join filings to labels and run extraction on the matches.
+def load_extracted(path) -> list[dict]:
+    """Read the extract stage's JSON Lines, one record per non-blank line.
 
-    extractor maps a FilingDoc to an ExtractedInput (see extract_top_k);
-    task "b" keeps changed quarters only.  Unmatched rows on either side
-    are reported, not fatal.
+    Each record comes back with just the fields build_dataset and the EDA
+    read: the selected sentences joined into "text" and "input_ids" as an
+    int64 array.  A line missing one of them, or holding the wrong type, is
+    a ParseError naming the path and line.
+    """
+    records = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+                records.append({
+                    "doc_id": str(rec["doc_id"]), "ticker": str(rec["ticker"]),
+                    "year": int(rec["year"]), "quarter": int(rec["quarter"]),
+                    "text": " ".join(s["text"] for s in rec["selected"]),
+                    "input_ids": np.asarray(rec["input_ids"], dtype=np.int64),
+                    "real_len": int(rec["real_len"]),
+                    "sentence_token_lengths":
+                        [int(n) for n in rec.get("sentence_token_lengths", [])],
+                    "vocab_size": rec.get("vocab_size"),
+                })
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ParseError(f"{path}: line {lineno}: {exc!r}") from None
+    if not records:
+        raise DataError(f"{path}: no extracted documents")
+    return records
+
+
+def build_dataset(
+    records: list[dict], labels: list[LabelRow], task: str
+) -> tuple[list[LabeledExample], JoinReport]:
+    """Inner-join extracted records to labels on (ticker, year, quarter).
+
+    records are load_extracted's; examples come out in doc_id order.  Task
+    "b" keeps changed quarters only.  Unmatched rows on either side are
+    reported, not fatal.
     """
     if task not in ("a", "b"):
         raise InvalidConfig(f"task must be 'a' or 'b', got {task!r}")
-    wanted = [
-        row for row in labels if task == "a" or row.task_a_label == "change"
-    ]
-    by_key = {(row.ticker, row.year, row.quarter): row for row in wanted}
+    wanted = {
+        (row.ticker, row.year, row.quarter): row
+        for row in labels
+        if task == "a" or row.task_a_label == "change"
+    }
     report = JoinReport()
     examples: list[LabeledExample] = []
-    for doc in sorted(filings, key=lambda d: d.doc_id):
-        row = by_key.pop((doc.ticker, doc.year, doc.quarter), None)
+    for rec in sorted(records, key=lambda r: r["doc_id"]):
+        row = wanted.pop((rec["ticker"], rec["year"], rec["quarter"]), None)
         if row is None:
             report.unmatched_filings += 1
             continue
         report.matched += 1
-        ext = extractor(doc)
-        enc = prepare_input(ext.token_ids, max_seq_len)
         examples.append(LabeledExample(
-            doc_id=doc.doc_id, ticker=doc.ticker, year=doc.year,
-            quarter=doc.quarter, delta=row.delta,
+            doc_id=rec["doc_id"], ticker=rec["ticker"], year=rec["year"],
+            quarter=rec["quarter"], delta=row.delta,
             task_a_label=row.task_a_label, task_b_label=row.task_b_label,
-            text=" ".join(s.text for s in ext.sentences),
-            input_ids=enc.ids, real_len=enc.real_len,
+            text=rec["text"], input_ids=rec["input_ids"],
+            real_len=rec["real_len"],
         ))
-    report.unmatched_labels = len(by_key)
     if not examples:
-        raise EmptyDataset("no filings matched any label")
+        raise EmptyDataset("no extracted documents matched any label")
+    report.unmatched_labels = len(wanted)
     return examples, report
 
 
@@ -420,30 +449,6 @@ def eda_stats(
     )
 
 
-def sentence_lengths_in_tokens(
-    filings: list[FilingDoc], vocab: Vocab
-) -> list[int]:
-    """Token length of every sentence across all filing bodies."""
-    lengths: list[int] = []
-    for doc in filings:
-        for sent in segment_sentences(doc.text):
-            lengths.append(len(encode(sent.text, vocab)))
-    return lengths
-
-
-def eda_from_filings(
-    labels: list[LabelRow],
-    filings: list[FilingDoc],
-    vocab: Vocab,
-    delta_bins: int = 20,
-    sentlen_bin_width: int = 10,
-) -> EdaStats:
-    return eda_stats(
-        labels, sentence_lengths_in_tokens(filings, vocab),
-        delta_bins=delta_bins, sentlen_bin_width=sentlen_bin_width,
-    )
-
-
 def write_eda(stats: EdaStats, out_dir) -> None:
     """Emit eda.json plus the two bin_start,bin_end,count CSVs."""
     out = Path(out_dir)
@@ -476,8 +481,8 @@ def save_dataset_splits(
     """Write train/val/test JSONL plus meta.json into out_dir."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name, examples in zip(("train", "val", "test"), splits):
-        with open(out / f"{name}.jsonl", "w", encoding="utf-8") as fh:
+    for stem, examples in zip(_SPLIT_FILES, splits):
+        with open(out / f"{stem}.jsonl", "w", encoding="utf-8") as fh:
             for ex in examples:
                 fh.write(json.dumps({
                     "doc_id": ex.doc_id,
@@ -497,27 +502,40 @@ def save_dataset_splits(
 
 
 def load_dataset_splits(data_dir) -> tuple[dict, dict[str, list[LabeledExample]]]:
-    """Read meta.json and the three split files back."""
+    """Read meta.json and the three split files back, keyed by SPLIT_NAMES.
+
+    A record missing a field, or holding the wrong type, is a ParseError
+    naming the file and line.
+    """
     data = Path(data_dir)
     meta_path = data / "meta.json"
     if not meta_path.exists():
         raise DataError(f"{data_dir} has no meta.json")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ParseError(f"{meta_path}: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ParseError(f"{meta_path}: expected a JSON object")
     splits: dict[str, list[LabeledExample]] = {}
-    for name in ("train", "val", "test"):
+    for name, stem in zip(SPLIT_NAMES, _SPLIT_FILES):
+        path = data / f"{stem}.jsonl"
         examples: list[LabeledExample] = []
-        with open(data / f"{name}.jsonl", encoding="utf-8") as fh:
-            for line in fh:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
-                rec = json.loads(line)
-                examples.append(LabeledExample(
-                    doc_id=rec["doc_id"], ticker=rec["ticker"],
-                    year=rec["year"], quarter=rec["quarter"],
-                    delta=rec["delta"], task_a_label=rec["task_a_label"],
-                    task_b_label=rec["task_b_label"], text=rec["text"],
-                    input_ids=np.asarray(rec["input_ids"], dtype=np.int64),
-                    real_len=rec["real_len"],
-                ))
+                try:
+                    rec = json.loads(line)
+                    examples.append(LabeledExample(
+                        doc_id=rec["doc_id"], ticker=rec["ticker"],
+                        year=rec["year"], quarter=rec["quarter"],
+                        delta=rec["delta"], task_a_label=rec["task_a_label"],
+                        task_b_label=rec["task_b_label"], text=rec["text"],
+                        input_ids=np.asarray(rec["input_ids"], dtype=np.int64),
+                        real_len=rec["real_len"],
+                    ))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ParseError(f"{path}: line {lineno}: {exc!r}") from None
         splits[name] = examples
     return meta, splits

@@ -42,15 +42,12 @@ class Sentence:
 class ExtractionConfig:
     top_k: int = 3
     benchmark_sentences: tuple[str, ...] = (DEFAULT_BENCHMARK,)
-    aggregation: str = "max"
 
     def __post_init__(self):
         if self.top_k < 1:
             raise InvalidConfig(f"top_k must be >= 1, got {self.top_k}")
         if not self.benchmark_sentences:
             raise InvalidConfig("at least one benchmark sentence is required")
-        if self.aggregation != "max":
-            raise InvalidConfig(f"unknown aggregation {self.aggregation!r}")
 
 
 @dataclass
@@ -158,13 +155,6 @@ def init_dan_params(in_dim: int, embed_dim: int, seed: int = 0) -> DanParams:
         b1=np.zeros(embed_dim),
         w2=rng.normal(0.0, 0.2, size=(embed_dim, embed_dim)),
         b2=np.zeros(embed_dim),
-    )
-
-
-def identity_dan_params(dim: int) -> DanParams:
-    """Pass-through layers; handy for toy checks."""
-    return DanParams(
-        w1=np.eye(dim), b1=np.zeros(dim), w2=np.eye(dim), b2=np.zeros(dim)
     )
 
 

@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import LabeledExample
-from .errors import CheckpointMismatch, EmptySplit, InvalidConfig
+from .data import SPLIT_NAMES, LabeledExample
+from .errors import CheckpointMismatch, EmptySplit, InvalidConfig, ParseError
 from .model import (
     ModelConfig,
     ParameterSet,
@@ -25,7 +25,6 @@ from .model import (
 )
 from .optim import OptimizerState, adam_step
 
-SPLIT_NAMES = ("train", "validation", "test")
 MODEL_ORDER = ("common_class", "naive_bayes", "base_lm", "domain_lm")
 
 _EVAL_BATCH = 32
@@ -76,7 +75,10 @@ class Metrics:
 
     @classmethod
     def load(cls, path) -> "Metrics":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        try:
+            return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: {exc!r}") from None
 
 
 def _example_batch(examples: list[LabeledExample]):
@@ -101,25 +103,50 @@ def predict_labels(
     return np.concatenate(preds)
 
 
+def confusion(preds, truth) -> SplitMetrics:
+    """Accuracy plus confusion counts over class indexes.
+
+    Index 1 is the positive class: "change" for task a, "positive" for
+    task b.  An empty split scores accuracy 0.0.
+    """
+    preds, truth = np.asarray(preds), np.asarray(truth)
+    tp = int(np.sum((preds == 1) & (truth == 1)))
+    tn = int(np.sum((preds == 0) & (truth == 0)))
+    fp = int(np.sum((preds == 1) & (truth == 0)))
+    fn = int(np.sum((preds == 0) & (truth == 1)))
+    n = len(truth)
+    return SplitMetrics(
+        accuracy=(tp + tn) / n if n else 0.0, n=n, tp=tp, fp=fp, tn=tn, fn=fn,
+    )
+
+
 def evaluate_split(
     params: ParameterSet,
     config: ModelConfig,
     examples: list[LabeledExample],
     task: str,
 ) -> SplitMetrics:
-    """Accuracy plus confusion counts; positive class is label index 1."""
+    """Model predictions on one split, scored by confusion."""
     if not examples:
         raise EmptySplit("cannot evaluate an empty split")
     preds = predict_labels(params, config, examples)
-    truth = np.array([e.label_index(task) for e in examples])
-    tp = int(np.sum((preds == 1) & (truth == 1)))
-    tn = int(np.sum((preds == 0) & (truth == 0)))
-    fp = int(np.sum((preds == 1) & (truth == 0)))
-    fn = int(np.sum((preds == 0) & (truth == 1)))
-    return SplitMetrics(
-        accuracy=(tp + tn) / len(examples), n=len(examples),
-        tp=tp, fp=fp, tn=tn, fn=fn,
-    )
+    return confusion(preds, [e.label_index(task) for e in examples])
+
+
+def check_inputs(config: ModelConfig, splits: dict) -> None:
+    """Every split's ids must lie in [0, vocab_size) and fit max_seq_len."""
+    for name, examples in splits.items():
+        if not examples:
+            continue
+        ids = np.concatenate([e.input_ids for e in examples])
+        lo, hi = int(ids.min(initial=0)), int(ids.max(initial=0))
+        longest = max(len(e.input_ids) for e in examples)
+        if lo < 0 or hi >= config.vocab_size or longest > config.max_seq_len:
+            raise CheckpointMismatch(
+                f"{name} split has token ids in [{lo}, {hi}] and length "
+                f"{longest}; checkpoint has vocab {config.vocab_size} and "
+                f"max_seq_len {config.max_seq_len}"
+            )
 
 
 def evaluate_all(
@@ -130,14 +157,13 @@ def evaluate_all(
     model_name: str,
     config_echo: dict | None = None,
 ) -> Metrics:
-    named = {
-        "train": splits["train"],
-        "validation": splits.get("validation", splits.get("val", [])),
-        "test": splits["test"],
-    }
+    check_inputs(config, splits)
     return Metrics(
         model_name=model_name, task=task,
-        splits={k: evaluate_split(params, config, v, task) for k, v in named.items()},
+        splits={
+            name: evaluate_split(params, config, splits[name], task)
+            for name in SPLIT_NAMES
+        },
         config=dict(config_echo or {}),
     )
 
@@ -160,17 +186,7 @@ def run_finetune(
     train = splits["train"]
     if not train:
         raise EmptySplit("empty training split")
-    max_id = max(int(e.input_ids.max()) for e in train)
-    if max_id >= config.vocab_size:
-        raise CheckpointMismatch(
-            f"dataset token id {max_id} >= checkpoint vocab {config.vocab_size}"
-        )
-    seq_len = len(train[0].input_ids)
-    if seq_len > config.max_seq_len:
-        raise CheckpointMismatch(
-            f"dataset seq_len {seq_len} > checkpoint max_seq_len "
-            f"{config.max_seq_len}"
-        )
+    check_inputs(config, splits)
 
     labels = np.array([e.label_index(task) for e in train])
     rng = np.random.default_rng(tc.seed)

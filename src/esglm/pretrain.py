@@ -40,7 +40,6 @@ class MaskingConfig:
     replace_with_mask: float = 0.8
     replace_with_random: float = 0.1
     keep_original: float = 0.1
-    seed: int = 0
 
     def __post_init__(self):
         # rate 0 is allowed as an explicit degenerate case (no corruption)

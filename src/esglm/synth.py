@@ -11,7 +11,7 @@ pretraining taught it that held-out and training words pattern together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -166,12 +166,7 @@ def run_replication_arm(
         ffn_dim=64, max_seq_len=spec.max_seq_len, dropout_rate=0.0,
     )
     if config.vocab_size != len(vocab):
-        config = ModelConfig(
-            vocab_size=len(vocab), hidden_dim=config.hidden_dim,
-            num_layers=config.num_layers, num_heads=config.num_heads,
-            ffn_dim=config.ffn_dim, max_seq_len=config.max_seq_len,
-            dropout_rate=config.dropout_rate,
-        )
+        config = replace(config, vocab_size=len(vocab))
     # desk-scale training rates; the published 2e-5 moves a tiny model too
     # little to fit anything in 8 epochs
     pretrain_tc = pretrain_tc or TrainConfig(
@@ -191,7 +186,7 @@ def run_replication_arm(
     adapted = init_params(config, seed=seed)
     adapted, trace = run_pretraining(
         data.corpus, vocab, adapted, config, pretrain_tc,
-        MaskingConfig(seed=seed),
+        MaskingConfig(),
     )
     fresh = init_params(config, seed=seed)
 

@@ -18,7 +18,7 @@ from esglm.baselines import (
     fit_predict_common_class,
     word_bag,
 )
-from esglm.checkpoint import load_checkpoint, save_checkpoint
+from esglm.checkpoint import CheckpointMeta, load_checkpoint, save_checkpoint
 from esglm.cli import main as cli_main
 from esglm.extract import (
     DanEmbedder,
@@ -29,7 +29,7 @@ from esglm.extract import (
     segment_sentences,
 )
 from esglm.harness import evaluate_all, format_report_markdown, Metrics, SplitMetrics
-from esglm.model import IGNORE_INDEX
+from esglm.model import IGNORE_INDEX, ModelConfig, init_params
 from esglm.pretrain import MaskingConfig, mask_batch
 from esglm.synth import run_replication_study
 from esglm.tokenizer import (
@@ -111,7 +111,7 @@ def test_criterion_2_masking_statistics():
               f"specials selected {n_special_sel}")
 
 
-def test_criterion_3_input_length_contract(fixtures_dir):
+def test_criterion_3_input_length_contract(fixtures_dir, tmp_path):
     corpus = [
         p.read_text(encoding="utf-8")
         for p in sorted((fixtures_dir / "corpus").glob("*.txt"))
@@ -128,18 +128,28 @@ def test_criterion_3_input_length_contract(fixtures_dir):
         )
         assert got == want
 
-    # dataset inputs at the default 512 with prefix-of-ones masks
-    filings = data_mod.load_manifest(fixtures_dir / "filings.jsonl")
-    scores = data_mod.load_scores(fixtures_dir / "scores.csv")
-    labels = data_mod.derive_all_labels(scores)
-    embedder = DanEmbedder.from_token_embeddings(
-        vocab, np.random.default_rng(0).normal(size=(len(vocab), 16)), seed=0
-    )
-    cfg = ExtractionConfig()
-    examples, _ = data_mod.build_dataset(
-        filings, labels, lambda d: extract_top_k(d, cfg, embedder),
-        task="a", max_seq_len=512,
-    )
+    # dataset inputs at the default 512 with prefix-of-ones masks, built by
+    # `esglm extract` + `esglm dataset` from an untrained checkpoint
+    vocab.save(tmp_path / "vocab.txt")
+    config = ModelConfig(vocab_size=len(vocab), hidden_dim=16, num_layers=1,
+                         num_heads=1, ffn_dim=16, max_seq_len=512)
+    save_checkpoint(init_params(config, seed=0), config,
+                    CheckpointMeta(stage="fresh", seed=0), tmp_path / "init.ckpt")
+    seq_len = tmp_path / "seq_len.cfg"
+    seq_len.write_text("seq_len=512\n", encoding="utf-8")
+    for step in (
+        ["extract", "--config", str(seq_len),
+         "--manifest", str(fixtures_dir / "filings.jsonl"),
+         "--vocab", str(tmp_path / "vocab.txt"), "--ckpt", str(tmp_path / "init.ckpt"),
+         "--out", str(tmp_path / "extracted.jsonl")],
+        ["dataset", "--config", str(seq_len),
+         "--extracted", str(tmp_path / "extracted.jsonl"),
+         "--scores", str(fixtures_dir / "scores.csv"), "--task", "a",
+         "--out", str(tmp_path / "data")],
+    ):
+        assert cli_main(step) == 0, f"stage {step[0]} failed"
+    _, splits = data_mod.load_dataset_splits(tmp_path / "data")
+    examples = [ex for split in splits.values() for ex in split]
     assert len(examples) >= 10
     for ex in examples:
         assert len(ex.input_ids) == 512
@@ -329,10 +339,8 @@ def test_criterion_8_determinism_and_persistence(fixtures_dir, tmp_path):
             params[name].view(np.uint32), reloaded[name].view(np.uint32)
         )
     _, splits = data_mod.load_dataset_splits(run_a / "data")
-    named = {"train": splits["train"], "validation": splits["val"],
-             "test": splits["test"]}
-    m1 = evaluate_all(params, config, named, "a", "domain_lm")
-    m2 = evaluate_all(reloaded, config2, named, "a", "domain_lm")
+    m1 = evaluate_all(params, config, splits, "a", "domain_lm")
+    m2 = evaluate_all(reloaded, config2, splits, "a", "domain_lm")
     assert m1.to_dict() == m2.to_dict()
     report(8, f"two pipeline runs byte-identical in {elapsed:.0f}s; checkpoint "
               f"round-trip bit-exact and evaluation unchanged")

@@ -8,7 +8,6 @@ from esglm.baselines import (
     class_log_scores,
     fit_naive_bayes,
     fit_predict_common_class,
-    nb_accuracy,
     predict,
     word_bag,
 )
@@ -131,7 +130,7 @@ class TestNaiveBayes:
         with pytest.raises(EmptyDataset):
             fit_naive_bayes([])
 
-    def test_accuracy_helper(self):
+    def test_predicts_separable_rows(self):
         model = fit_naive_bayes(self._four_doc_corpus())
         rows = [(word_bag("good good"), "+"), (word_bag("bad bad"), "-")]
-        assert nb_accuracy(model, rows) == 1.0
+        assert [predict(model, bag) for bag, _ in rows] == ["+", "-"]

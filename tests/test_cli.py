@@ -1,8 +1,51 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import esglm
+from esglm import baselines
+from esglm.checkpoint import CheckpointMeta, load_checkpoint, save_checkpoint
 from esglm.cli import load_config, main
+from esglm.data import load_manifest
+from esglm.extract import segment_sentences
+from esglm.tokenizer import Vocab, encode
+
+SPLIT_FILES = {"train": "train", "validation": "val", "test": "test"}
+
+
+def run_cli(*argv):
+    """Run the esglm command in a fresh interpreter, as a user would."""
+    env = dict(os.environ)
+    src = str(Path(esglm.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "esglm.cli", *map(str, argv)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def assert_data_error(proc):
+    assert proc.returncode == 2, proc.stderr
+    assert "esglm: error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def rewrite_jsonl(path, edit):
+    """Apply edit to the first record of a JSON Lines file, in place."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    rec = json.loads(lines[0])
+    edit(rec)
+    lines[0] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def copy_data(pipeline_run, tmp_path):
+    return Path(shutil.copytree(pipeline_run / "data", tmp_path / "data"))
 
 
 class TestConfigFile:
@@ -184,3 +227,123 @@ class TestPipelineArtifacts:
                      "--model", "common", "--metrics", str(m)]) == 0
         assert main(["report", "--metrics", str(m), "--task", "b",
                      "--out", str(tmp_path / "r")]) == 2
+
+    def test_extracted_sentence_lengths_feed_eda(self, pipeline_run, fixtures_dir):
+        vocab = Vocab.load(pipeline_run / "vocab.txt")
+        bodies = {d.doc_id: d.text
+                  for d in load_manifest(fixtures_dir / "filings.jsonl")}
+        total = 0
+        with open(pipeline_run / "extracted.jsonl", encoding="utf-8") as fh:
+            for line in fh:
+                rec = json.loads(line)
+                want = [len(encode(s.text, vocab))
+                        for s in segment_sentences(bodies[rec["doc_id"]])]
+                assert rec["sentence_token_lengths"] == want
+                total += len(want)
+        eda = json.loads((pipeline_run / "data" / "eda.json").read_text())
+        assert eda["n_sentences"] == total
+
+
+def hand_count(preds, labels, pos):
+    return {
+        "tp": sum(p == t == pos for p, t in zip(preds, labels)),
+        "fp": sum(p == pos != t for p, t in zip(preds, labels)),
+        "tn": sum(p == t != pos for p, t in zip(preds, labels)),
+        "fn": sum(t == pos != p for p, t in zip(preds, labels)),
+    }
+
+
+@pytest.mark.parametrize("task,pos", [("a", "change"), ("b", "positive")])
+def test_baselines_count_the_task_positive_class(pipeline_run, tmp_path,
+                                                 fixtures_dir, task, pos):
+    data = tmp_path / "data"
+    assert main(["dataset", "--config", str(fixtures_dir / "fixture.cfg"),
+                 "--extracted", str(pipeline_run / "extracted.jsonl"),
+                 "--scores", str(fixtures_dir / "scores.csv"),
+                 "--task", task, "--seed", "0", "--out", str(data)]) == 0
+    key = f"task_{task}_label"
+    rows = {}
+    for split, stem in SPLIT_FILES.items():
+        with open(data / f"{stem}.jsonl", encoding="utf-8") as fh:
+            rows[split] = [json.loads(line) for line in fh]
+    train_labels = [r[key] for r in rows["train"]]
+    majority, _ = baselines.fit_predict_common_class(train_labels, train_labels)
+    nb = baselines.fit_naive_bayes(
+        [(baselines.word_bag(r["text"]), r[key]) for r in rows["train"]]
+    )
+    predictors = {
+        "common": lambda r: majority.predicted_class,
+        "nb": lambda r: baselines.predict(nb, baselines.word_bag(r["text"])),
+    }
+    for model, predict in predictors.items():
+        out = tmp_path / f"{model}.json"
+        assert main(["baseline", "--data", str(data), "--model", model,
+                     "--metrics", str(out)]) == 0
+        got = json.loads(out.read_text())["splits"]
+        for split, recs in rows.items():
+            want = hand_count([predict(r) for r in recs], [r[key] for r in recs], pos)
+            assert {k: got[split][k] for k in want} == want, (model, split)
+
+
+class TestMalformedRecords:
+    def test_extracted_line_without_ticker(self, pipeline_run, tmp_path,
+                                           fixtures_dir):
+        extracted = tmp_path / "extracted.jsonl"
+        shutil.copy(pipeline_run / "extracted.jsonl", extracted)
+        rewrite_jsonl(extracted, lambda rec: rec.pop("ticker"))
+        proc = run_cli("dataset", "--extracted", extracted,
+                       "--scores", fixtures_dir / "scores.csv", "--task", "a",
+                       "--out", tmp_path / "data")
+        assert_data_error(proc)
+        assert "line 1" in proc.stderr
+
+    def test_split_line_without_label(self, pipeline_run, tmp_path):
+        data = copy_data(pipeline_run, tmp_path)
+        rewrite_jsonl(data / "val.jsonl", lambda rec: rec.pop("task_a_label"))
+        proc = run_cli("baseline", "--data", data, "--model", "common",
+                       "--metrics", tmp_path / "m.json")
+        assert_data_error(proc)
+        assert "val.jsonl: line 1" in proc.stderr
+
+    def test_metrics_without_task(self, pipeline_run, tmp_path):
+        m = tmp_path / "m.json"
+        assert main(["baseline", "--data", str(pipeline_run / "data"),
+                     "--model", "common", "--metrics", str(m)]) == 0
+        doc = json.loads(m.read_text())
+        del doc["task"]
+        m.write_text(json.dumps(doc))
+        proc = run_cli("report", "--metrics", m, "--task", "a",
+                       "--out", tmp_path / "r")
+        assert_data_error(proc)
+
+
+class TestTokenIdRange:
+    def test_evaluate_rejects_id_beyond_vocab(self, pipeline_run, tmp_path):
+        params, config, _ = load_checkpoint(pipeline_run / "pre.ckpt")
+        fin = tmp_path / "fin.ckpt"
+        save_checkpoint(params, config, CheckpointMeta(stage="finetuned_a", seed=0),
+                        fin)
+        data = copy_data(pipeline_run, tmp_path)
+
+        def overflow(rec):
+            rec["input_ids"][1] = 99999
+        rewrite_jsonl(data / "test.jsonl", overflow)
+        proc = run_cli("evaluate", "--ckpt", fin, "--data", data,
+                       "--metrics", tmp_path / "m.json")
+        assert_data_error(proc)
+        assert "99999" in proc.stderr
+
+    def test_finetune_rejects_negative_id(self, pipeline_run, tmp_path,
+                                          fixtures_dir):
+        data = copy_data(pipeline_run, tmp_path)
+
+        def negative(rec):
+            rec["input_ids"][1] = -3
+        rewrite_jsonl(data / "train.jsonl", negative)
+        proc = run_cli("finetune", "--config", fixtures_dir / "fixture.cfg",
+                       "--ckpt", pipeline_run / "pre.ckpt", "--data", data,
+                       "--task", "a", "--out", tmp_path / "f.ckpt",
+                       "--metrics", tmp_path / "m.json")
+        assert_data_error(proc)
+        assert "-3" in proc.stderr
+        assert not (tmp_path / "f.ckpt").exists()

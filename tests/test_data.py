@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from esglm.data import (
-    FilingDoc,
     LabelRow,
     LabeledExample,
     ScoreSeries,
@@ -13,7 +12,6 @@ from esglm.data import (
     build_dataset,
     derive_all_labels,
     derive_labels,
-    eda_from_filings,
     eda_stats,
     load_dataset_splits,
     load_manifest,
@@ -30,8 +28,7 @@ from esglm.errors import (
     ParseError,
     StratificationError,
 )
-from esglm.extract import DanEmbedder, ExtractionConfig, extract_top_k
-from esglm.tokenizer import train_vocab
+from esglm.tokenizer import encode, prepare_input, train_vocab
 
 
 def series(ticker, *points):
@@ -194,20 +191,22 @@ def make_example(i, task_a, task_b, ticker="AAA", year=2015, quarter=1):
 
 
 class TestBuildDataset:
-    def _setup(self):
+    def _records(self, seq_len=32):
+        # extract-stage records, listed out of doc_id order
         vocab = tiny_vocab()
-        emb = np.random.default_rng(0).normal(size=(len(vocab), 8))
-        embedder = DanEmbedder.from_token_embeddings(vocab, emb, seed=0)
-        cfg = ExtractionConfig(top_k=2)
-        extractor = lambda doc: extract_top_k(doc, cfg, embedder)
-        return extractor
-
-    def _filings(self):
-        return [
-            FilingDoc("AAA", 2015, 2, "Emissions fell. Revenue grew. Waste rose."),
-            FilingDoc("AAA", 2015, 3, "Water usage grew. Sales fell."),
-            FilingDoc("BBB", 2015, 2, "Carbon climate waste. Sales grew."),
-        ]
+        out = []
+        for ticker, year, quarter, text in (
+            ("BBB", 2015, 2, "Carbon climate waste. Sales grew."),
+            ("AAA", 2015, 3, "Water usage grew. Sales fell."),
+            ("AAA", 2015, 2, "Emissions fell. Revenue grew. Waste rose."),
+        ):
+            enc = prepare_input(encode(text, vocab), seq_len)
+            out.append({
+                "doc_id": f"{ticker}-{year}Q{quarter}", "ticker": ticker,
+                "year": year, "quarter": quarter, "text": text,
+                "input_ids": enc.ids, "real_len": enc.real_len,
+            })
+        return out
 
     def _labels(self):
         return [
@@ -217,38 +216,36 @@ class TestBuildDataset:
         ]
 
     def test_join_semantics_and_report(self):
-        examples, report = build_dataset(
-            self._filings(), self._labels(), self._setup(), task="a",
-            max_seq_len=32,
-        )
-        assert len(examples) == 2
+        examples, report = build_dataset(self._records(), self._labels(), task="a")
+        assert [e.doc_id for e in examples] == ["AAA-2015Q2", "AAA-2015Q3"]
+        assert [e.task_a_label for e in examples] == ["change", "no_change"]
         assert report.matched == 2
         assert report.unmatched_filings == 1   # BBB has no label
         assert report.unmatched_labels == 1    # CCC has no filing
         assert report.matched + report.unmatched_filings == 3
 
     def test_task_b_filters_to_changes(self):
-        examples, _ = build_dataset(
-            self._filings(), self._labels(), self._setup(), task="b",
-            max_seq_len=32,
-        )
+        examples, report = build_dataset(self._records(), self._labels(), task="b")
         assert [e.doc_id for e in examples] == ["AAA-2015Q2"]
         assert examples[0].label("b") == "positive"
+        assert (report.unmatched_filings, report.unmatched_labels) == (2, 1)
 
     def test_inputs_have_exact_length(self):
-        examples, _ = build_dataset(
-            self._filings(), self._labels(), self._setup(), task="a",
-            max_seq_len=512,
-        )
+        records = self._records(seq_len=512)
+        examples, _ = build_dataset(records, self._labels(), task="a")
+        by_id = {r["doc_id"]: r for r in records}
         for ex in examples:
             assert len(ex.input_ids) == 512
+            np.testing.assert_array_equal(ex.input_ids, by_id[ex.doc_id]["input_ids"])
+            assert ex.real_len == by_id[ex.doc_id]["real_len"]
+            assert ex.text == by_id[ex.doc_id]["text"]
 
     def test_empty_join_rejected(self):
         with pytest.raises(EmptyDataset):
             build_dataset(
-                self._filings(),
+                self._records(),
                 [LabelRow("ZZZ", 2010, 1, 0.0, "no_change", None)],
-                self._setup(), task="a",
+                task="a",
             )
 
 
@@ -375,13 +372,6 @@ class TestEda:
             assert count == brute_len.get(start // 10, 0)
         assert sum(c for _, _, c in stats.sentlen_hist) == 100
 
-    def test_eda_from_filings_counts_sentence_tokens(self):
-        vocab = tiny_vocab()
-        filings = [FilingDoc("A", 2015, 1, "Emissions fell. Water grew fast.")]
-        labels = [LabelRow("A", 2015, 1, 0.0, "no_change", None)]
-        stats = eda_from_filings(labels, filings, vocab)
-        assert stats.n_sentences == 2
-
     def test_write_eda_emits_expected_files(self, tmp_path):
         labels = [LabelRow("A", 2015, 1, 0.0, "no_change", None)]
         write_eda(eda_stats(labels, [5, 15]), tmp_path)
@@ -404,6 +394,8 @@ class TestDatasetRoundTrip:
         save_dataset_splits((data[:2], data[2:3], data[3:]), meta, tmp_path)
         got_meta, splits = load_dataset_splits(tmp_path)
         assert got_meta == meta
+        assert list(splits) == ["train", "validation", "test"]
+        assert [e.doc_id for e in splits["validation"]] == [data[2].doc_id]
         assert [e.doc_id for e in splits["train"]] == [e.doc_id for e in data[:2]]
         np.testing.assert_array_equal(
             splits["train"][0].input_ids, data[0].input_ids

@@ -4,11 +4,11 @@ import pytest
 from esglm.errors import EmptyDocument, InvalidConfig
 from esglm.extract import (
     DanEmbedder,
+    DanParams,
     ExtractionConfig,
     cosine_similarity,
     dan_embed,
     extract_top_k,
-    identity_dan_params,
     score_sentences,
     segment_sentences,
 )
@@ -108,7 +108,8 @@ class TestDanEmbed:
         emb = np.zeros((7, 2))
         emb[5] = [1.0, 0.0]
         emb[6] = [0.0, 1.0]
-        out = dan_embed("alpha beta", vocab, emb, identity_dan_params(2))
+        identity = DanParams(w1=np.eye(2), b1=np.zeros(2), w2=np.eye(2), b2=np.zeros(2))
+        out = dan_embed("alpha beta", vocab, emb, identity)
         np.testing.assert_allclose(out.vector, [0.7071, 0.7071], atol=1e-4)
         assert not out.is_zero
 

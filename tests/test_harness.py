@@ -8,6 +8,7 @@ from esglm.errors import CheckpointMismatch, EmptySplit, InvalidConfig
 from esglm.harness import (
     Metrics,
     SplitMetrics,
+    confusion,
     emit_report,
     evaluate_all,
     evaluate_split,
@@ -66,6 +67,12 @@ class TestEvaluate:
         with pytest.raises(EmptySplit):
             evaluate_split(init_params(CFG, seed=0), CFG, [], "a")
 
+    def test_confusion_counts_index_one_as_positive(self):
+        m = confusion([1, 1, 0, 0, 1], [1, 0, 0, 1, 1])
+        assert (m.tp, m.fp, m.tn, m.fn, m.n) == (2, 1, 1, 1, 5)
+        assert m.accuracy == 3 / 5
+        assert confusion([], []).accuracy == 0.0
+
     def test_accuracy_identity(self):
         m = SplitMetrics(accuracy=0.75, n=4, tp=2, fp=1, tn=1, fn=0)
         assert (m.tp + m.tn) / m.n == m.accuracy
@@ -115,6 +122,14 @@ class TestRunFinetune:
         with pytest.raises(CheckpointMismatch):
             run_finetune(init_params(small, seed=0), small, splits, "a",
                          TrainConfig())
+
+    def test_ids_outside_vocab_rejected_in_every_split(self):
+        params = init_params(CFG, seed=0)
+        for bad in (-1, CFG.vocab_size):
+            splits = tiny_splits()
+            splits["validation"][0].input_ids[1] = bad
+            with pytest.raises(CheckpointMismatch):
+                evaluate_all(params, CFG, splits, "a", "base_lm")
 
     def test_seq_len_mismatch_rejected(self):
         splits = tiny_splits()
@@ -195,11 +210,3 @@ class TestReport:
     def test_empty_metrics_rejected(self, tmp_path):
         with pytest.raises(InvalidConfig):
             emit_report([], "a", tmp_path)
-
-
-def test_evaluate_all_accepts_val_alias():
-    splits = tiny_splits()
-    splits["val"] = splits.pop("validation")
-    params = init_params(CFG, seed=0)
-    m = evaluate_all(params, CFG, splits, "a", "base_lm")
-    assert set(m.splits) == {"train", "validation", "test"}
