@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .artifacts import artifact
 from .errors import (
     CorruptCheckpoint,
     NotACheckpoint,
@@ -42,22 +43,6 @@ class CheckpointMeta:
     seed: int
     train_config: dict | None = None
 
-    def to_dict(self) -> dict:
-        return {"stage": self.stage, "seed": self.seed,
-                "train_config": self.train_config}
-
-
-def _config_to_dict(config: ModelConfig) -> dict:
-    return {
-        "vocab_size": config.vocab_size,
-        "hidden_dim": config.hidden_dim,
-        "num_layers": config.num_layers,
-        "num_heads": config.num_heads,
-        "ffn_dim": config.ffn_dim,
-        "max_seq_len": config.max_seq_len,
-        "dropout_rate": config.dropout_rate,
-    }
-
 
 def save_checkpoint(
     params: ParameterSet,
@@ -66,10 +51,10 @@ def save_checkpoint(
     path,
 ) -> None:
     """Write params as float32 tensor records with embedded metadata."""
-    doc = {"model_config": _config_to_dict(config), **meta.to_dict()}
+    doc = {"model_config": asdict(config), **asdict(meta)}
     meta_bytes = json.dumps(doc, sort_keys=True).encode("utf-8")
     names = list(parameter_shapes(config))
-    with open(path, "wb") as fh:
+    with artifact(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", FORMAT_VERSION))
         fh.write(struct.pack("<I", len(meta_bytes)))
@@ -106,12 +91,9 @@ def load_checkpoint(path) -> tuple[ParameterSet, ModelConfig, CheckpointMeta]:
         (meta_len,) = struct.unpack("<I", _read_exact(fh, 4, "meta length"))
         try:
             doc = json.loads(_read_exact(fh, meta_len, "metadata").decode("utf-8"))
-            config = ModelConfig(**doc["model_config"])
-            meta = CheckpointMeta(
-                stage=doc["stage"], seed=doc["seed"],
-                train_config=doc.get("train_config"),
-            )
-        except (ValueError, KeyError, TypeError) as exc:
+            config = ModelConfig(**doc.pop("model_config"))
+            meta = CheckpointMeta(**doc)
+        except (AttributeError, ValueError, KeyError, TypeError) as exc:
             raise CorruptCheckpoint(f"{path}: bad metadata: {exc}") from None
 
         (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))

@@ -13,7 +13,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -21,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, data
+from .artifacts import write_jsonl
 from .checkpoint import CheckpointMeta, load_checkpoint, save_checkpoint
 from .errors import CheckpointMismatch, ConfigError, DataError, EsglmError
 from .extract import (
@@ -183,7 +183,7 @@ def cmd_pretrain(args, cfg: PipelineConfig) -> int:
     for epoch, loss in enumerate(trace, start=1):
         print(f"pretrain epoch {epoch}: mlm loss {loss:.4f}")
     meta = CheckpointMeta(stage="pretrained", seed=cfg.seed,
-                          train_config=tc.__dict__.copy())
+                          train_config=asdict(tc))
     save_checkpoint(params, config, meta, args.out)
     print(f"pretrain: checkpoint -> {args.out}")
     return 0
@@ -202,28 +202,27 @@ def cmd_extract(args, cfg: PipelineConfig) -> int:
     )
     ex_cfg = ExtractionConfig(top_k=cfg.top_k, benchmark_sentences=_benchmarks(cfg))
     docs = data.load_manifest(args.manifest)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for doc in docs:
-            ext = extract_top_k(doc, ex_cfg, embedder)
-            enc = prepare_input(ext.token_ids, cfg.seq_len)
-            sent_lengths = [
+
+    def record(doc) -> dict:
+        ext = extract_top_k(doc, ex_cfg, embedder)
+        enc = prepare_input(ext.token_ids, cfg.seq_len)
+        return {
+            "doc_id": doc.doc_id, "ticker": doc.ticker,
+            "year": doc.year, "quarter": doc.quarter,
+            "selected": [
+                {"index": s.index, "score": score, "text": s.text}
+                for s, score in zip(ext.sentences, ext.scores)
+            ],
+            "token_count": len(ext.token_ids),
+            "input_ids": enc.ids.tolist(),
+            "real_len": enc.real_len,
+            "sentence_token_lengths": [
                 len(encode(s.text, vocab)) for s in segment_sentences(doc.text)
-            ]
-            fh.write(json.dumps({
-                "doc_id": doc.doc_id,
-                "ticker": doc.ticker,
-                "year": doc.year,
-                "quarter": doc.quarter,
-                "selected": [
-                    {"index": s.index, "score": score, "text": s.text}
-                    for s, score in zip(ext.sentences, ext.scores)
-                ],
-                "token_count": len(ext.token_ids),
-                "input_ids": enc.ids.tolist(),
-                "real_len": enc.real_len,
-                "sentence_token_lengths": sent_lengths,
-                "vocab_size": len(vocab),
-            }, sort_keys=True) + "\n")
+            ],
+            "vocab_size": len(vocab),
+        }
+
+    write_jsonl(args.out, map(record, docs))
     print(f"extract: {len(docs)} documents -> {args.out}")
     return 0
 
@@ -322,7 +321,7 @@ def cmd_finetune(args, cfg: PipelineConfig) -> int:
     for epoch, loss in enumerate(trace, start=1):
         print(f"finetune epoch {epoch}: loss {loss:.4f}")
     out_meta = CheckpointMeta(
-        stage=f"finetuned_{task}", seed=tc.seed, train_config=tc.__dict__.copy()
+        stage=f"finetuned_{task}", seed=tc.seed, train_config=asdict(tc)
     )
     save_checkpoint(params, config, out_meta, args.out)
     metrics.save(args.metrics)

@@ -9,19 +9,20 @@ chain; no label spans a gap.
 from __future__ import annotations
 
 import csv
-import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import artifact, read_json, read_jsonl, write_json, write_jsonl
 from .errors import (
     DataError,
     DuplicateError,
     EmptyDataset,
     InsufficientHistory,
     InvalidConfig,
+    InvalidInput,
     ParseError,
     StratificationError,
 )
@@ -90,6 +91,13 @@ class LabeledExample:
     text: str
     input_ids: np.ndarray
     real_len: int
+
+    def __post_init__(self):
+        if (self.task_a_label not in TASK_A_CLASSES
+                or self.task_b_label not in (*TASK_B_CLASSES, None)):
+            raise InvalidInput(
+                f"labels {self.task_a_label!r}, {self.task_b_label!r} are not "
+                f"in {TASK_A_CLASSES} and {TASK_B_CLASSES} or null")
 
     def label(self, task: str) -> str:
         if task == "a":
@@ -173,33 +181,21 @@ def load_manifest(path) -> list[FilingDoc]:
     paths resolve relative to the manifest's directory.
     """
     base = Path(path).parent
-    docs: list[FilingDoc] = []
     seen: set[tuple[str, int, int]] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from None
-            try:
-                ticker = str(rec["ticker"])
-                year = int(rec["year"])
-                quarter = int(rec["quarter"])
-                body_path = base / rec["path"]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc!r}") from None
-            key = (ticker, year, quarter)
-            if key in seen:
-                raise DuplicateError(f"{path}: line {lineno}: duplicate {key}")
-            seen.add(key)
-            try:
-                text = body_path.read_text(encoding="utf-8")
-            except OSError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from None
-            docs.append(FilingDoc(ticker=ticker, year=year, quarter=quarter, text=text))
-    return docs
+
+    def parse(rec) -> FilingDoc:
+        key = (str(rec["ticker"]), int(rec["year"]), int(rec["quarter"]))
+        body_path = base / rec["path"]
+        if key in seen:
+            raise DuplicateError(f"duplicate {key}")
+        seen.add(key)
+        try:
+            text = body_path.read_text(encoding="utf-8")
+        except OSError as exc:
+            raise DataError(str(exc)) from None
+        return FilingDoc(*key, text=text)
+
+    return read_jsonl(path, parse)
 
 
 def _next_quarter(year: int, quarter: int) -> tuple[int, int]:
@@ -250,25 +246,16 @@ def load_extracted(path) -> list[dict]:
     int64 array.  A line missing one of them, or holding the wrong type, is
     a ParseError naming the path and line.
     """
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                records.append({
-                    "doc_id": str(rec["doc_id"]), "ticker": str(rec["ticker"]),
-                    "year": int(rec["year"]), "quarter": int(rec["quarter"]),
-                    "text": " ".join(s["text"] for s in rec["selected"]),
-                    "input_ids": np.asarray(rec["input_ids"], dtype=np.int64),
-                    "real_len": int(rec["real_len"]),
-                    "sentence_token_lengths":
-                        [int(n) for n in rec.get("sentence_token_lengths", [])],
-                    "vocab_size": rec.get("vocab_size"),
-                })
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc!r}") from None
+    records = read_jsonl(path, lambda rec: {
+        "doc_id": str(rec["doc_id"]), "ticker": str(rec["ticker"]),
+        "year": int(rec["year"]), "quarter": int(rec["quarter"]),
+        "text": " ".join(s["text"] for s in rec["selected"]),
+        "input_ids": np.asarray(rec["input_ids"], dtype=np.int64),
+        "real_len": int(rec["real_len"]),
+        "sentence_token_lengths":
+            [int(n) for n in rec.get("sentence_token_lengths", [])],
+        "vocab_size": rec.get("vocab_size"),
+    })
     if not records:
         raise DataError(f"{path}: no extracted documents")
     return records
@@ -453,24 +440,11 @@ def write_eda(stats: EdaStats, out_dir) -> None:
     """Emit eda.json plus the two bin_start,bin_end,count CSVs."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "n_labels": stats.n_labels,
-        "zero_delta_fraction": stats.zero_delta_fraction,
-        "delta_hist": stats.delta_hist,
-        "n_sentences": stats.n_sentences,
-        "sentlen_hist": stats.sentlen_hist,
-    }
-    (out / "eda.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    for name, hist in (
-        ("delta_hist.csv", stats.delta_hist),
-        ("sentlen_hist.csv", stats.sentlen_hist),
-    ):
-        with open(out / name, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bin_start", "bin_end", "count"])
-            writer.writerows(hist)
+    write_json(out / "eda.json", asdict(stats))
+    for name in ("delta_hist", "sentlen_hist"):
+        with artifact(out / f"{name}.csv") as fh:
+            csv.writer(fh).writerows(
+                [("bin_start", "bin_end", "count"), *getattr(stats, name)])
 
 
 def save_dataset_splits(
@@ -482,60 +456,27 @@ def save_dataset_splits(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for stem, examples in zip(_SPLIT_FILES, splits):
-        with open(out / f"{stem}.jsonl", "w", encoding="utf-8") as fh:
-            for ex in examples:
-                fh.write(json.dumps({
-                    "doc_id": ex.doc_id,
-                    "ticker": ex.ticker,
-                    "year": ex.year,
-                    "quarter": ex.quarter,
-                    "delta": ex.delta,
-                    "task_a_label": ex.task_a_label,
-                    "task_b_label": ex.task_b_label,
-                    "text": ex.text,
-                    "input_ids": ex.input_ids.tolist(),
-                    "real_len": ex.real_len,
-                }, sort_keys=True) + "\n")
-    (out / "meta.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+        write_jsonl(out / f"{stem}.jsonl", (
+            {**asdict(ex), "input_ids": ex.input_ids.tolist()} for ex in examples
+        ))
+    write_json(out / "meta.json", meta)
 
 
 def load_dataset_splits(data_dir) -> tuple[dict, dict[str, list[LabeledExample]]]:
     """Read meta.json and the three split files back, keyed by SPLIT_NAMES.
 
-    A record missing a field, or holding the wrong type, is a ParseError
-    naming the file and line.
+    A record missing a field, holding the wrong type or an unknown label is
+    an error naming the file and line.
     """
     data = Path(data_dir)
-    meta_path = data / "meta.json"
-    if not meta_path.exists():
+    if not (data / "meta.json").exists():
         raise DataError(f"{data_dir} has no meta.json")
-    try:
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ParseError(f"{meta_path}: {exc}") from None
-    if not isinstance(meta, dict):
-        raise ParseError(f"{meta_path}: expected a JSON object")
-    splits: dict[str, list[LabeledExample]] = {}
-    for name, stem in zip(SPLIT_NAMES, _SPLIT_FILES):
-        path = data / f"{stem}.jsonl"
-        examples: list[LabeledExample] = []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    rec = json.loads(line)
-                    examples.append(LabeledExample(
-                        doc_id=rec["doc_id"], ticker=rec["ticker"],
-                        year=rec["year"], quarter=rec["quarter"],
-                        delta=rec["delta"], task_a_label=rec["task_a_label"],
-                        task_b_label=rec["task_b_label"], text=rec["text"],
-                        input_ids=np.asarray(rec["input_ids"], dtype=np.int64),
-                        real_len=rec["real_len"],
-                    ))
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise ParseError(f"{path}: line {lineno}: {exc!r}") from None
-        splits[name] = examples
-    return meta, splits
+
+    def parse(rec) -> LabeledExample:
+        ids = np.asarray(rec["input_ids"], dtype=np.int64)
+        return LabeledExample(**{**rec, "input_ids": ids})
+
+    return read_json(data / "meta.json"), {
+        name: read_jsonl(data / f"{stem}.jsonl", parse)
+        for name, stem in zip(SPLIT_NAMES, _SPLIT_FILES)
+    }

@@ -7,14 +7,20 @@ between them is the starting weights.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import artifact, read_json, write_json
 from .data import SPLIT_NAMES, LabeledExample
-from .errors import CheckpointMismatch, EmptySplit, InvalidConfig, ParseError
+from .errors import (
+    CheckpointMismatch,
+    EmptySplit,
+    InvalidConfig,
+    InvalidInput,
+    ParseError,
+)
 from .model import (
     ModelConfig,
     ParameterSet,
@@ -39,10 +45,6 @@ class SplitMetrics:
     tn: int
     fn: int
 
-    def to_dict(self) -> dict:
-        return {"accuracy": self.accuracy, "n": self.n, "tp": self.tp,
-                "fp": self.fp, "tn": self.tn, "fn": self.fn}
-
 
 @dataclass
 class Metrics:
@@ -52,12 +54,7 @@ class Metrics:
     config: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "model_name": self.model_name,
-            "task": self.task,
-            "splits": {k: v.to_dict() for k, v in self.splits.items()},
-            "config": self.config,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Metrics":
@@ -68,15 +65,13 @@ class Metrics:
         )
 
     def save(self, path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "Metrics":
+        doc = read_json(path)
         try:
-            return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+            return cls.from_dict(doc)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{path}: {exc!r}") from None
 
@@ -134,13 +129,17 @@ def evaluate_split(
 
 
 def check_inputs(config: ModelConfig, splits: dict) -> None:
-    """Every split's ids must lie in [0, vocab_size) and fit max_seq_len."""
+    """Ids lie in [0, vocab_size); each split has one length <= max_seq_len."""
     for name, examples in splits.items():
         if not examples:
             continue
+        lengths = {len(e.input_ids) for e in examples}
+        if len(lengths) > 1:
+            raise InvalidInput(
+                f"{name} split mixes input lengths {sorted(lengths)}")
         ids = np.concatenate([e.input_ids for e in examples])
         lo, hi = int(ids.min(initial=0)), int(ids.max(initial=0))
-        longest = max(len(e.input_ids) for e in examples)
+        longest = max(lengths)
         if lo < 0 or hi >= config.vocab_size or longest > config.max_seq_len:
             raise CheckpointMismatch(
                 f"{name} split has token ids in [{lo}, {hi}] and length "
@@ -239,13 +238,7 @@ def emit_report(metrics_list: list[Metrics], task: str, out_dir) -> None:
         raise InvalidConfig("emit_report needs at least one Metrics entry")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    doc = {
-        "task": task,
-        "rows": [m.to_dict() for m in metrics_list],
-    }
-    (out / f"report_{task}.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    (out / f"report_{task}.md").write_text(
-        format_report_markdown(metrics_list, task), encoding="utf-8"
-    )
+    write_json(out / f"report_{task}.json",
+               {"task": task, "rows": [m.to_dict() for m in metrics_list]})
+    with artifact(out / f"report_{task}.md") as fh:
+        fh.write(format_report_markdown(metrics_list, task))

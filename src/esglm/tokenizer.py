@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import artifact
 from .errors import InvalidConfig, InvalidId, InvalidInput
 
 PAD, UNK, CLS, SEP, MASK = "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"
@@ -57,9 +58,8 @@ class Vocab:
         return self.index[token]
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for tok in self.tokens:
-                fh.write(tok + "\n")
+        with artifact(path) as fh:
+            fh.writelines(tok + "\n" for tok in self.tokens)
 
     @classmethod
     def load(cls, path) -> Vocab:

@@ -305,6 +305,32 @@ class TestMalformedRecords:
         assert_data_error(proc)
         assert "val.jsonl: line 1" in proc.stderr
 
+    def test_split_line_with_unknown_label(self, pipeline_run, tmp_path):
+        data = copy_data(pipeline_run, tmp_path)
+        rewrite_jsonl(data / "train.jsonl",
+                      lambda rec: rec.update(task_a_label="maybe"))
+        proc = run_cli("baseline", "--data", data, "--model", "common",
+                       "--metrics", tmp_path / "m.json")
+        assert_data_error(proc)
+        assert "train.jsonl: line 1" in proc.stderr
+        assert "'maybe'" in proc.stderr
+
+    def test_split_with_ragged_input_ids(self, pipeline_run, tmp_path):
+        params, config, _ = load_checkpoint(pipeline_run / "pre.ckpt")
+        fin = tmp_path / "fin.ckpt"
+        save_checkpoint(params, config, CheckpointMeta(stage="finetuned_a", seed=0),
+                        fin)
+        data = copy_data(pipeline_run, tmp_path)
+
+        def cut(rec):
+            rec["input_ids"] = rec["input_ids"][:100]
+        rewrite_jsonl(data / "test.jsonl", cut)
+        proc = run_cli("evaluate", "--ckpt", fin, "--data", data,
+                       "--metrics", tmp_path / "m.json")
+        assert_data_error(proc)
+        assert "test split" in proc.stderr
+        assert not (tmp_path / "m.json").exists()
+
     def test_metrics_without_task(self, pipeline_run, tmp_path):
         m = tmp_path / "m.json"
         assert main(["baseline", "--data", str(pipeline_run / "data"),
@@ -315,6 +341,27 @@ class TestMalformedRecords:
         proc = run_cli("report", "--metrics", m, "--task", "a",
                        "--out", tmp_path / "r")
         assert_data_error(proc)
+
+
+def test_failed_extract_leaves_previous_output(pipeline_run, tmp_path,
+                                               fixtures_dir):
+    lines = (fixtures_dir / "filings.jsonl").read_text(encoding="utf-8").splitlines()
+    first, second = (json.loads(line) for line in lines[:2])
+    shutil.copy(fixtures_dir / first["path"], tmp_path / "first.txt")
+    (tmp_path / "blank.txt").write_text("  \n\t\n", encoding="utf-8")
+    manifest = tmp_path / "filings.jsonl"
+    manifest.write_text(
+        json.dumps({**first, "path": "first.txt"}) + "\n"
+        + json.dumps({**second, "path": "blank.txt"}) + "\n", encoding="utf-8")
+    out = tmp_path / "extracted.jsonl"
+    out.write_bytes(b"previous run\n")
+    proc = run_cli("extract", "--config", fixtures_dir / "fixture.cfg",
+                   "--manifest", manifest, "--vocab", pipeline_run / "vocab.txt",
+                   "--ckpt", pipeline_run / "pre.ckpt", "--out", out)
+    assert_data_error(proc)
+    assert out.read_bytes() == b"previous run\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "blank.txt", "extracted.jsonl", "filings.jsonl", "first.txt"]
 
 
 class TestTokenIdRange:
