@@ -40,6 +40,15 @@ def write_jsonl(path, records) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+def read_text(path, newline: str | None = None) -> str:
+    """A UTF-8 text input; bytes that are not UTF-8 are a ParseError."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def read_json(path) -> dict:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, data
-from .artifacts import write_jsonl
+from .artifacts import read_text, write_jsonl
 from .checkpoint import CheckpointMeta, load_checkpoint, save_checkpoint
 from .errors import CheckpointMismatch, ConfigError, DataError, EsglmError
 from .extract import (
@@ -97,7 +97,7 @@ def load_config(path: str | None) -> PipelineConfig:
     by_name = {f.name: f.type for f in fields(PipelineConfig)}
     updates: dict = {}
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = read_text(path).splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     for lineno, raw in enumerate(lines, start=1):

@@ -9,13 +9,16 @@ chain; no label spans a gap.
 from __future__ import annotations
 
 import csv
+import io
 from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import artifact, read_json, read_jsonl, write_json, write_jsonl
+from .artifacts import (
+    artifact, read_json, read_jsonl, read_text, write_json, write_jsonl,
+)
 from .errors import (
     DataError,
     DuplicateError,
@@ -137,7 +140,7 @@ def load_scores(path) -> dict[str, ScoreSeries]:
     """
     rows: dict[str, list[tuple[int, int, float]]] = {}
     seen: set[tuple[str, int, int]] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
+    with io.StringIO(read_text(path, newline=""), newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -140,24 +140,6 @@ class ParameterSet:
     def copy(self) -> "ParameterSet":
         return ParameterSet({k: v.copy() for k, v in self.tensors.items()})
 
-    def check_finite(self) -> None:
-        for name, t in self.tensors.items():
-            if not np.all(np.isfinite(t)):
-                raise NumericError(f"non-finite values in parameter {name}")
-
-    def check_shapes(self, config: ModelConfig) -> None:
-        expected = parameter_shapes(config)
-        if set(expected) != set(self.tensors):
-            missing = set(expected) - set(self.tensors)
-            extra = set(self.tensors) - set(expected)
-            raise ShapeError(f"parameter names mismatch: -{missing} +{extra}")
-        for name, shape in expected.items():
-            if self.tensors[name].shape != shape:
-                raise ShapeError(
-                    f"{name}: expected shape {shape}, "
-                    f"got {self.tensors[name].shape}"
-                )
-
 
 def _trunc_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
     """Normal(0, std) with values beyond 2 std resampled."""
@@ -187,13 +169,18 @@ def init_params(
     return ParameterSet(tensors)
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    """tanh-approximation GELU."""
-    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + _GELU_A * x**3)))
+def gelu(x: np.ndarray, with_tanh: bool = False):
+    """tanh-approximation GELU; with_tanh also returns the tanh term.
 
-
-def gelu_grad(x: np.ndarray) -> np.ndarray:
+    gelu_grad takes that term, so the backward pass does not recompute it.
+    """
     t = np.tanh(_GELU_C * (x + _GELU_A * x**3))
+    a = 0.5 * x * (1.0 + t)
+    return (a, t) if with_tanh else a
+
+
+def gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """d gelu(x) / dx, given t from gelu(x, with_tanh=True)."""
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * _GELU_C * (
         1.0 + 3.0 * _GELU_A * x**2
     )
@@ -296,14 +283,14 @@ def encoder_forward(
             h + attn, params[p + "ln1.gain"], params[p + "ln1.bias"]
         )
         f1 = h1 @ params[p + "ffn.w1"] + params[p + "ffn.b1"]
-        a = gelu(f1)
+        a, t = gelu(f1, with_tanh=True)
         f2 = a @ params[p + "ffn.w2"] + params[p + "ffn.b2"]
         f2 = _dropout(f2, drop, rng, cache["drop"], f"ffn{i}")
         h, ln2_cache = _layernorm(
             h1 + f2, params[p + "ln2.gain"], params[p + "ln2.bias"]
         )
         lc.update(q=q, k=k, v=v, probs=probs, ctx=ctx, ln1=ln1_cache,
-                  h1=h1, f1=f1, a=a, ln2=ln2_cache)
+                  h1=h1, f1=f1, a=a, t=t, ln2=ln2_cache)
         cache["layers"].append(lc)
 
     if want_cache:
@@ -339,7 +326,7 @@ def encoder_backward(
             df2 = df2 * cache["drop"][f"ffn{i}"] / (1.0 - drop)
         grads[p + "ffn.w2"] += flat(lc["a"]).T @ flat(df2)
         grads[p + "ffn.b2"] += df2.sum(axis=(0, 1))
-        df1 = (df2 @ params[p + "ffn.w2"].T) * gelu_grad(lc["f1"])
+        df1 = (df2 @ params[p + "ffn.w2"].T) * gelu_grad(lc["f1"], lc["t"])
         grads[p + "ffn.w1"] += flat(lc["h1"]).T @ flat(df1)
         grads[p + "ffn.b1"] += df1.sum(axis=(0, 1))
         dh1 = dres2 + df1 @ params[p + "ffn.w1"].T
@@ -378,28 +365,6 @@ def encoder_backward(
     s = ids.shape[1]
     np.add.at(grads["tok_emb"], ids.reshape(-1), dh.reshape(-1, d))
     grads["pos_emb"][:s] += dh.sum(axis=0)
-
-
-def forward_encoder(
-    enc: EncodedInput,
-    params: ParameterSet,
-    config: ModelConfig,
-    mode: str = "eval",
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Single-input encoder pass: EncodedInput -> (seq_len, d) hidden states.
-
-    Eval mode is deterministic; train mode applies seeded dropout.
-    """
-    if mode not in ("train", "eval"):
-        raise InvalidConfig(f"mode must be 'train' or 'eval', got {mode!r}")
-    params.check_shapes(config)
-    params.check_finite()
-    h = encoder_forward(
-        enc.ids[None, :], enc.attention_mask[None, :], params, config,
-        train=(mode == "train"), rng=rng,
-    )
-    return h[0]
 
 
 def forward_mlm(hidden: np.ndarray, params: ParameterSet) -> np.ndarray:

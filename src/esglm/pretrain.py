@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import read_text
 from .errors import InvalidConfig, InvalidInput
 from .model import (
     IGNORE_INDEX,
@@ -125,7 +126,7 @@ def load_corpus_dir(path) -> list[str]:
     files = sorted(Path(path).glob("*.txt"))
     if not files:
         raise InvalidInput(f"no .txt documents in {path}")
-    return [f.read_text(encoding="utf-8") for f in files]
+    return [read_text(f) for f in files]
 
 
 def run_pretraining(

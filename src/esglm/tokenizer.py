@@ -8,12 +8,13 @@ pre-tokens.
 
 from __future__ import annotations
 
-from collections import Counter
+import heapq
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifacts import artifact
+from .artifacts import artifact, read_text
 from .errors import InvalidConfig, InvalidId, InvalidInput
 
 PAD, UNK, CLS, SEP, MASK = "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"
@@ -63,8 +64,7 @@ class Vocab:
 
     @classmethod
     def load(cls, path) -> Vocab:
-        with open(path, "r", encoding="utf-8") as fh:
-            tokens = [line.rstrip("\n") for line in fh]
+        tokens = read_text(path).split("\n")
         while tokens and tokens[-1] == "":
             tokens.pop()
         if len(tokens) < NUM_SPECIALS:
@@ -115,6 +115,10 @@ def _surface(symbol: str) -> str:
     return symbol[2:] if symbol.startswith("##") else symbol
 
 
+def _pairs(syms: list[str]) -> list[tuple[str, str]]:
+    return [(_surface(left), right) for left, right in zip(syms, syms[1:])]
+
+
 def train_vocab(corpus, target_size: int, min_freq: int = 2) -> Vocab:
     """Build a WordPiece vocabulary by iterative pair merging.
 
@@ -145,21 +149,30 @@ def train_vocab(corpus, target_size: int, min_freq: int = 2) -> Vocab:
     inventory = sorted({sym for syms in segmented.values() for sym in syms})
     tokens = list(SPECIAL_TOKENS) + inventory
     seen = set(tokens)
+
+    # Pair counts, the words holding each pair, and a lazy max-heap of
+    # (-count, pair) whose stale entries are dropped when they surface; a
+    # merge revisits only the words that hold the merged pair.
+    pair_freqs: Counter = Counter()
+    where: dict[tuple[str, str], set[str]] = defaultdict(set)
+    for word, syms in segmented.items():
+        for pair in _pairs(syms):
+            pair_freqs[pair] += word_freqs[word]
+            where[pair].add(word)
+    heap = [(-f, pair) for pair, f in pair_freqs.items()]
+    heapq.heapify(heap)
+
     while len(tokens) < target_size:
-        pair_freqs = Counter()
-        for word, syms in segmented.items():
-            freq = word_freqs[word]
-            for left, right in zip(syms, syms[1:]):
-                pair_freqs[(_surface(left), right)] += freq
-        if not pair_freqs:
+        while heap and pair_freqs.get(heap[0][1]) != -heap[0][0]:
+            heapq.heappop(heap)
+        if not heap or -heap[0][0] < min_freq:
             break
-        best_freq = max(pair_freqs.values())
-        if best_freq < min_freq:
-            break
-        best = min(p for p, f in pair_freqs.items() if f == best_freq)
+        best = heap[0][1]
 
         realized: set[str] = set()
-        for word, syms in segmented.items():
+        touched: set[tuple[str, str]] = set()
+        for word in where.pop(best):
+            syms = segmented[word]
             merged: list[str] = []
             i = 0
             while i < len(syms):
@@ -175,6 +188,22 @@ def train_vocab(corpus, target_size: int, min_freq: int = 2) -> Vocab:
                     merged.append(syms[i])
                     i += 1
             segmented[word] = merged
+            old, new = _pairs(syms), _pairs(merged)
+            freq = word_freqs[word]
+            for pair in old:
+                pair_freqs[pair] -= freq
+            for pair in new:
+                pair_freqs[pair] += freq
+            for pair in set(old) - set(new) - {best}:
+                where[pair].discard(word)
+            for pair in set(new) - set(old):
+                where[pair].add(word)
+            touched.update(old, new)
+        for pair in touched:
+            if pair_freqs[pair]:
+                heapq.heappush(heap, (-pair_freqs[pair], pair))
+            else:
+                del pair_freqs[pair]
         for sym in sorted(realized):
             if sym not in seen and len(tokens) < target_size:
                 tokens.append(sym)

@@ -394,3 +394,44 @@ class TestTokenIdRange:
         assert_data_error(proc)
         assert "-3" in proc.stderr
         assert not (tmp_path / "f.ckpt").exists()
+
+
+class TestNotUtf8:
+    """A text input holding a byte that is not UTF-8 names the file, exit 2."""
+
+    def test_vocab_file(self, pipeline_run, tmp_path, fixtures_dir):
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_bytes((pipeline_run / "vocab.txt").read_bytes() + b"\xff\n")
+        proc = run_cli("pretrain", "--config", fixtures_dir / "fixture.cfg",
+                       "--corpus", fixtures_dir / "corpus", "--vocab", vocab,
+                       "--out", tmp_path / "pre.ckpt")
+        assert_data_error(proc)
+        assert str(vocab) in proc.stderr
+        assert not (tmp_path / "pre.ckpt").exists()
+
+    def test_scores_file(self, pipeline_run, tmp_path, fixtures_dir):
+        scores = tmp_path / "scores.csv"
+        scores.write_bytes((fixtures_dir / "scores.csv").read_bytes() + b"\xff\n")
+        proc = run_cli("dataset", "--extracted", pipeline_run / "extracted.jsonl",
+                       "--scores", scores, "--task", "a", "--out", tmp_path / "data")
+        assert_data_error(proc)
+        assert str(scores) in proc.stderr
+
+    def test_config_file(self, tmp_path, fixtures_dir):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes((fixtures_dir / "fixture.cfg").read_bytes() + b"# \xff\n")
+        proc = run_cli("vocab", "--config", cfg, "--corpus", fixtures_dir / "corpus",
+                       "--out", tmp_path / "vocab.txt")
+        assert_data_error(proc)
+        assert str(cfg) in proc.stderr
+
+    def test_corpus_document(self, tmp_path, fixtures_dir):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(fixtures_dir / "corpus", corpus)
+        bad = corpus / "doc999.txt"
+        bad.write_bytes(b"emissions fell \xff in the quarter\n")
+        proc = run_cli("vocab", "--config", fixtures_dir / "fixture.cfg",
+                       "--corpus", corpus, "--out", tmp_path / "vocab.txt")
+        assert_data_error(proc)
+        assert str(bad) in proc.stderr
+        assert not (tmp_path / "vocab.txt").exists()

@@ -12,11 +12,13 @@ from esglm.model import (
     cross_entropy,
     encoder_forward,
     forward_classify,
-    forward_encoder,
     forward_mlm,
+    gelu,
+    gelu_grad,
     init_params,
     parameter_shapes,
 )
+from esglm.model import _GELU_A, _GELU_C
 from esglm.tokenizer import prepare_input
 
 TINY = ModelConfig(
@@ -27,6 +29,10 @@ TINY = ModelConfig(
 
 def tiny_params(seed=0, dtype=np.float64):
     return init_params(TINY, seed=seed, dtype=dtype)
+
+
+def encode_one(enc, params):
+    return encoder_forward(enc.ids[None], enc.attention_mask[None], params, TINY)[0]
 
 
 def random_batch(rng, config, batch_size=2, body_lens=(5, 8)):
@@ -60,7 +66,7 @@ class TestConfigValidation:
 class TestInit:
     def test_shapes_match_config(self):
         params = tiny_params()
-        params.check_shapes(TINY)
+        assert params.names() == list(parameter_shapes(TINY))
         for name, shape in parameter_shapes(TINY).items():
             assert params[name].shape == shape
 
@@ -104,8 +110,8 @@ class TestForwardEncoder:
         body = [7, 9, 11]
         short = prepare_input(body, max_seq_len=8)
         long = prepare_input(body, max_seq_len=12)
-        h_short = forward_encoder(short, params, TINY)
-        h_long = forward_encoder(long, params, TINY)
+        h_short = encode_one(short, params)
+        h_long = encode_one(long, params)
         np.testing.assert_allclose(
             h_short[: short.real_len], h_long[: short.real_len],
             rtol=0, atol=1e-12,
@@ -131,8 +137,8 @@ class TestForwardEncoder:
     def test_eval_mode_bit_deterministic(self):
         params = tiny_params()
         enc = prepare_input([5, 6, 7, 8], max_seq_len=12)
-        a = forward_encoder(enc, params, TINY)
-        b = forward_encoder(enc, params, TINY)
+        a = encode_one(enc, params)
+        b = encode_one(enc, params)
         assert np.array_equal(a, b)
 
     def test_layernorm_normalizes_before_gain(self):
@@ -156,15 +162,43 @@ class TestForwardEncoder:
         params = tiny_params()
         params["pooler.w"][0, 0] = np.nan
         enc = prepare_input([5], max_seq_len=8)
+        batch = (enc.ids[None], enc.attention_mask[None], np.array([1]))
         with pytest.raises(NumericError):
-            forward_encoder(enc, params, TINY)
+            compute_gradients(batch, params, TINY, "classify")
+
+
+class TestGelu:
+    @staticmethod
+    def recomputed_grad(x):
+        # the derivative as written before gelu_grad took the forward tanh
+        t = np.tanh(_GELU_C * (x + _GELU_A * x**3))
+        return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * _GELU_C * (
+            1.0 + 3.0 * _GELU_A * x**2
+        )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_grad_from_forward_tanh_is_bit_identical(self, dtype):
+        rng = np.random.default_rng(5)
+        x = (rng.normal(size=(8, 32, 64)) * 3.0).astype(dtype)
+        x.flat[:4] = [0.0, -0.0, 40.0, -40.0]
+        a, t = gelu(x, with_tanh=True)
+        assert a.dtype == t.dtype == dtype
+        assert gelu(x).tobytes() == a.tobytes()
+        grad = gelu_grad(x, t)
+        assert grad.dtype == dtype
+        assert grad.tobytes() == self.recomputed_grad(x).tobytes()
+
+    def test_plain_call_returns_only_the_activation(self):
+        x = np.linspace(-3.0, 3.0, 7, dtype=np.float32)
+        out = gelu(x)
+        assert isinstance(out, np.ndarray) and out.shape == x.shape
 
 
 class TestHeads:
     def test_mlm_logit_shape(self):
         params = tiny_params()
         enc = prepare_input([5, 6], max_seq_len=12)
-        logits = forward_mlm(forward_encoder(enc, params, TINY), params)
+        logits = forward_mlm(encode_one(enc, params), params)
         assert logits.shape == (12, TINY.vocab_size)
 
     def test_mlm_projection_is_tied_linear_map(self):
@@ -197,7 +231,7 @@ class TestHeads:
         params["cls.w"][:] = 0.0
         params["cls.b"][:] = 0.0
         enc = prepare_input([5, 6, 7], max_seq_len=12)
-        logits = forward_classify(forward_encoder(enc, params, TINY), params)
+        logits = forward_classify(encode_one(enc, params), params)
         np.testing.assert_array_equal(logits, [0.0, 0.0])
 
     def test_classify_sees_only_cls_position(self):

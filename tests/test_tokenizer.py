@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from collections import Counter
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from esglm.errors import InvalidConfig, InvalidId, InvalidInput
 from esglm.tokenizer import (
     CLS_ID,
+    NUM_SPECIALS,
     PAD_ID,
     SEP_ID,
+    SPECIAL_TOKENS,
     UNK,
     UNK_ID,
     Vocab,
@@ -17,6 +21,7 @@ from esglm.tokenizer import (
     pretokenize,
     train_vocab,
 )
+from esglm.tokenizer import _surface, _word_symbols
 
 
 def make_vocab(*extra):
@@ -85,6 +90,101 @@ class TestTrainVocab:
         # every pair occurs once; min_freq=2 forbids all merges
         v = train_vocab(["abc"], target_size=100, min_freq=2)
         assert v.tokens[5:] == ("##b", "##c", "a")
+
+
+def _reference_train_vocab(corpus, target_size: int, min_freq: int = 2) -> Vocab:
+    # The trainer as it was before pair counts were kept between merges: it
+    # recounts every pair of every word after each merge.
+    docs = list(corpus)
+    if not docs or all(not d.strip() for d in docs):
+        raise InvalidInput("empty corpus")
+
+    word_freqs = Counter()
+    for doc in docs:
+        word_freqs.update(pretokenize(doc))
+
+    alphabet = {c for word in word_freqs for c in word}
+    if target_size < NUM_SPECIALS + len(alphabet):
+        raise InvalidConfig(
+            f"target_size {target_size} < {NUM_SPECIALS} specials "
+            f"+ {len(alphabet)} characters"
+        )
+
+    segmented = {w: _word_symbols(w) for w in word_freqs}
+    # Initial inventory: the positional character forms that actually occur.
+    inventory = sorted({sym for syms in segmented.values() for sym in syms})
+    tokens = list(SPECIAL_TOKENS) + inventory
+    seen = set(tokens)
+    while len(tokens) < target_size:
+        pair_freqs = Counter()
+        for word, syms in segmented.items():
+            freq = word_freqs[word]
+            for left, right in zip(syms, syms[1:]):
+                pair_freqs[(_surface(left), right)] += freq
+        if not pair_freqs:
+            break
+        best_freq = max(pair_freqs.values())
+        if best_freq < min_freq:
+            break
+        best = min(p for p, f in pair_freqs.items() if f == best_freq)
+
+        realized: set[str] = set()
+        for word, syms in segmented.items():
+            merged: list[str] = []
+            i = 0
+            while i < len(syms):
+                if (
+                    i + 1 < len(syms)
+                    and (_surface(syms[i]), syms[i + 1]) == best
+                ):
+                    new_sym = syms[i] + _surface(syms[i + 1])
+                    realized.add(new_sym)
+                    merged.append(new_sym)
+                    i += 2
+                else:
+                    merged.append(syms[i])
+                    i += 1
+            segmented[word] = merged
+        for sym in sorted(realized):
+            if sym not in seen and len(tokens) < target_size:
+                tokens.append(sym)
+                seen.add(sym)
+
+    return Vocab.from_tokens(tokens)
+
+
+def _outcome(train, docs, target, min_freq):
+    try:
+        return train(docs, target, min_freq).tokens
+    except (InvalidConfig, InvalidInput) as exc:
+        return type(exc)
+
+
+class TestTrainVocabMatchesReference:
+    """The incremental trainer gives the recounting trainer's vocabulary."""
+
+    @given(
+        docs=st.lists(
+            st.sampled_from(["ab", "aab", "a'b-c. ", "abc ab"]).flatmap(
+                lambda alphabet: st.text(alphabet=alphabet + " ", max_size=40)
+            ),
+            max_size=4,
+        ),
+        target=st.integers(0, 60),
+        min_freq=st.sampled_from([1, 2, 3]),
+    )
+    @example(docs=["aaaa aaab"], target=60, min_freq=1)
+    @example(docs=["aaaaaa aaab baaa", "abab"], target=60, min_freq=2)
+    @settings(max_examples=300, deadline=None)
+    def test_random_corpora(self, docs, target, min_freq):
+        assert _outcome(train_vocab, docs, target, min_freq) == _outcome(
+            _reference_train_vocab, docs, target, min_freq
+        )
+
+    @pytest.mark.parametrize("target", [2000, 400, 60])
+    def test_fixture_corpus(self, fixtures_dir, target):
+        docs = [p.read_text(encoding="utf-8") for p in sorted((fixtures_dir / "corpus").glob("*.txt"))]
+        assert train_vocab(docs, target).tokens == _reference_train_vocab(docs, target).tokens
 
 
 class TestEncode:
