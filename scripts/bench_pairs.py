@@ -1,0 +1,153 @@
+#!/usr/bin/env python3
+"""Compare two checkouts on one benchmark workload in alternated pairs.
+
+Runs `bench/run.py` in a parent checkout and in a change checkout, one pair
+of runs per seed.  Pair i uses seed i; the parent runs first in even pairs
+and the change in odd ones, so drift in the machine's load falls on both
+sides.  The run length is the `run_seconds` of the change's BENCHMARK.json.
+
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload paper_cli \\
+        --pairs 10 --out BENCH_7.json [--traced]
+
+OUT gets, for the workload: every run's last line, and per end-to-end
+metric the median of each side, the parent's interquartile range, the
+ratio change/parent and the number of pairs the change won (ties count for
+neither side), plus the failed operations of each side.  `--traced` adds
+one `--trace 1` run per side at seed 0.  Entries OUT already holds for other
+workloads are kept, so one file can collect several workloads.  Uses only
+the standard library; it writes nothing but OUT.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def bench(checkout: Path, workload: str, seed: int, seconds: float,
+          trace: int) -> dict:
+    """One bench/run.py run: its last line plus its record line."""
+    cmd = [sys.executable, "bench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or len(lines) < 2:
+        print(f"{checkout}: exit {proc.returncode}: {proc.stderr.strip()}",
+              file=sys.stderr)
+        return {"seed": seed, "last_line": None, "record": None}
+    return {"seed": seed, "last_line": json.loads(lines[-1]),
+            "record": json.loads(lines[-2].removeprefix("record: "))}
+
+
+def quartile_gap(values: list[float]) -> float:
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
+def summarize(runs: dict, end_to_end: list[dict]) -> dict:
+    """Per metric: medians, parent IQR, ratio and the change's pair wins."""
+    out: dict = {}
+    for metric in end_to_end:
+        name, sign = metric["name"], (1 if metric["better"] == "higher" else -1)
+        pairs = [tuple(r["last_line"]["metrics"][name]["value"] for r in pair)
+                 for pair in zip(runs["parent"], runs["change"])
+                 if all(r["last_line"] for r in pair)]
+        if not pairs:
+            continue
+        parent, change = ([p[i] for p in pairs] for i in (0, 1))
+        out[name] = {
+            "parent_median": statistics.median(parent),
+            "change_median": statistics.median(change),
+            "ratio": statistics.median(change) / statistics.median(parent),
+            "parent_iqr": quartile_gap(parent),
+            "change_wins": sum(sign * (c - p) > 0 for p, c in pairs),
+            "pairs": len(pairs),
+        }
+    for side in SIDES:
+        out[f"{side}_failed"] = sum(
+            r["last_line"]["failed"] if r["last_line"] else 1 for r in runs[side])
+    return out
+
+
+def write_json(path: Path, doc: dict) -> None:
+    """Replace path atomically, so an interrupted run keeps the old file."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--out", type=Path, required=True)
+    ap.add_argument("--traced", action="store_true",
+                    help="also make one --trace 1 run per side at seed 0")
+    a = ap.parse_args(argv)
+    if a.pairs < 1:
+        ap.error("--pairs must be >= 1")
+    dirs = dict(zip(SIDES, (a.parent.resolve(), a.change.resolve())))
+    spec = json.loads((dirs["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = spec["run_seconds"]
+
+    runs: dict = {side: [] for side in SIDES}
+    for seed in range(a.pairs):
+        for side in (SIDES if seed % 2 == 0 else SIDES[::-1]):
+            runs[side].append(bench(dirs[side], a.workload, seed, seconds, 0))
+            total = runs[side][-1]["last_line"]
+            shown = total and total["metrics"]["total_s"]["value"]
+            print(f"{a.workload} pair {seed} {side}: total_s {shown}", file=sys.stderr)
+
+    doc = (json.loads(a.out.read_text(encoding="utf-8"))
+           if a.out.exists() else {})
+    doc["command"] = (f"python3 bench/run.py --workload W --seed S "
+                      f"--seconds {seconds:g} --trace 0")
+    doc["method"] = (
+        "runs in pairs, one parent and one change with the same seed; the side "
+        "that runs first alternates from pair to pair; seed = pair index. "
+        "Medians over runs; parent_iqr is the distance between the parent's "
+        "quartiles (inclusive method); change_wins counts the pairs in which "
+        "the change was better, ties counting for neither side.")
+    records = {side: next((r["record"] for r in runs[side] if r["record"]), None)
+               for side in SIDES}
+    if records["change"]:
+        doc["machine"] = {k: v for k, v in records["change"]["machine"].items()
+                          if k not in ("git_rev", "src_sha256")}
+    for side in SIDES:
+        if records[side]:
+            machine = records[side]["machine"]
+            doc.setdefault("git_rev", {})[side] = machine["git_rev"]
+            doc.setdefault("src_sha256", {})[side] = machine["src_sha256"]
+    doc.setdefault("pairs", {})[a.workload] = a.pairs
+    doc.setdefault("summary", {})[a.workload] = summarize(runs, spec["end_to_end"])
+    doc.setdefault("runs", {})[a.workload] = {
+        side: [{"seed": r["seed"], "last_line": r["last_line"]} for r in runs[side]]
+        for side in SIDES}
+    if a.traced:
+        doc.setdefault("traced", {})[a.workload] = {
+            side: bench(dirs[side], a.workload, 0, seconds, 1)["last_line"]
+            for side in SIDES}
+    write_json(a.out, doc)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

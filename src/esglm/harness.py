@@ -28,6 +28,7 @@ from .model import (
     compute_gradients,
     encoder_forward,
     forward_classify,
+    trim_batch,
 )
 from .optim import OptimizerState, adam_step
 
@@ -77,9 +78,10 @@ class Metrics:
 
 
 def _example_batch(examples: list[LabeledExample]):
+    """(ids, attention_mask), cut after the longest real sequence."""
     ids = np.stack([e.input_ids for e in examples])
     mask = (ids != 0).astype(np.int64)
-    return ids, mask
+    return trim_batch(ids, mask)
 
 
 def predict_labels(

@@ -414,12 +414,14 @@ def _cross_entropy_with_grad(logits, targets, ignore_index=IGNORE_INDEX):
     # max-subtraction keeps exp in range for any logit magnitude
     m = flat.max(axis=-1, keepdims=True)
     shifted = flat - m
-    lse = np.log(np.sum(np.exp(shifted), axis=-1))
+    e = np.exp(shifted)
+    total = np.sum(e, axis=-1, keepdims=True)
+    lse = np.log(total[:, 0])
     idx = np.where(kept, tgt, 0)
     nll = lse - shifted[np.arange(flat.shape[0]), idx]
     loss = float(np.sum(nll[kept]) / n)
 
-    dflat = _softmax(flat)
+    dflat = e / total  # the softmax, from the exponentials summed above
     dflat[np.arange(flat.shape[0]), idx] -= 1.0
     dflat[~kept] = 0.0
     dflat /= n
@@ -437,25 +439,32 @@ def compute_gradients(
     """Exact reverse-mode gradients of the scalar loss for one batch.
 
     batch is (ids, attention_mask, targets): per-position original-token
-    targets with IGNORE_INDEX sentinels for "mlm", per-example class labels
-    for "classify".  Gradients of parameters unused by the objective are
+    targets with IGNORE_INDEX sentinels for "mlm", shaped like ids (the
+    vocabulary head runs only where a target is set), per-example class
+    labels for "classify".  Gradients of parameters unused by the objective are
     zero.  Returns (loss, grads) with grads mirroring the parameter shapes.
     """
     if objective not in ("mlm", "classify"):
         raise InvalidConfig(f"unknown objective {objective!r}")
     ids, mask, targets = (np.asarray(x) for x in batch)
+    if objective == "mlm" and targets.shape != ids.shape:
+        raise ShapeError(f"mlm targets {targets.shape} != ids {ids.shape}")
     hidden, cache = encoder_forward(
         ids, mask, params, config, train=train, rng=rng, want_cache=True
     )
     grads = params.zeros_like()
 
     if objective == "mlm":
-        logits = forward_mlm(hidden, params)
-        loss, dlogits = _cross_entropy_with_grad(logits, targets)
-        dh = dlogits @ params["tok_emb"]
+        # the vocabulary head runs only at positions that have a target
+        rows = targets != IGNORE_INDEX
+        picked = hidden[rows]
+        logits = forward_mlm(picked, params)
+        loss, dlogits = _cross_entropy_with_grad(logits, targets[rows])
+        dh = np.zeros_like(hidden)
+        dh[rows] = dlogits @ params["tok_emb"]
         # tied projection: the embedding matrix also collects the head grad
-        grads["tok_emb"] += np.tensordot(dlogits, hidden, axes=([0, 1], [0, 1]))
-        grads["mlm_bias"] += dlogits.sum(axis=(0, 1))
+        grads["tok_emb"] += dlogits.T @ picked
+        grads["mlm_bias"] += dlogits.sum(axis=0)
     else:
         cls_h = hidden[:, 0, :]
         pooled = np.tanh(cls_h @ params["pooler.w"] + params["pooler.b"])
@@ -481,3 +490,15 @@ def batch_arrays(inputs: list[EncodedInput]) -> tuple[np.ndarray, np.ndarray]:
     ids = np.stack([e.ids for e in inputs])
     mask = np.stack([e.attention_mask for e in inputs])
     return ids, mask
+
+
+def trim_batch(ids: np.ndarray, mask: np.ndarray, *rest: np.ndarray):
+    """Cut (B, S) batch arrays after the last column holding a real position.
+
+    Every later column is PAD in every row, and PAD keys get no attention,
+    so real positions compute exactly what they would at full width.  A PAD
+    inside a sequence is kept, and so is at least one column.
+    """
+    real = np.flatnonzero(np.asarray(mask).any(axis=0))
+    width = int(real[-1]) + 1 if real.size else 1
+    return tuple(x[:, :width] for x in (ids, mask, *rest))

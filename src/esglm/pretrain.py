@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import read_text
-from .errors import InvalidConfig, InvalidInput
+from .errors import EmptyBatch, InvalidConfig, InvalidInput
 from .model import (
     IGNORE_INDEX,
     ModelConfig,
@@ -21,6 +21,7 @@ from .model import (
     TrainConfig,
     batch_arrays,
     compute_gradients,
+    trim_batch,
 )
 from .optim import OptimizerState, adam_step
 from .tokenizer import (
@@ -141,6 +142,7 @@ def run_pretraining(
 
     Windows are reshuffled and re-masked every epoch from one seeded rng,
     so identical (corpus, config, seed) reproduce the loss trace exactly.
+    An epoch in which no batch selects a position raises EmptyBatch.
     """
     windows = window_corpus(corpus_docs, vocab, config.max_seq_len)
     if not windows:
@@ -149,7 +151,7 @@ def run_pretraining(
     rng = np.random.default_rng(tc.seed)
     state = OptimizerState.for_params(params)
     trace: list[float] = []
-    for _ in range(tc.epochs):
+    for epoch in range(1, tc.epochs + 1):
         order = rng.permutation(len(windows))
         losses: list[float] = []
         for start in range(0, len(windows), tc.batch_size):
@@ -158,11 +160,16 @@ def run_pretraining(
             if not mb.selection_mask.any():
                 continue  # nothing to predict in this batch
             loss, grads = compute_gradients(
-                (mb.input_ids, mb.attention_mask, mb.targets),
+                trim_batch(mb.input_ids, mb.attention_mask, mb.targets),
                 params, config, "mlm",
                 train=config.dropout_rate > 0.0, rng=rng,
             )
             adam_step(params, grads, state, tc)
             losses.append(loss)
-        trace.append(float(np.mean(losses)) if losses else float("nan"))
+        if not losses:
+            raise EmptyBatch(
+                f"pretraining epoch {epoch}: no batch selected a position "
+                f"to predict (mask_rate {mc.mask_rate})"
+            )
+        trace.append(float(np.mean(losses)))
     return params, trace

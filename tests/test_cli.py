@@ -435,3 +435,15 @@ class TestNotUtf8:
         assert_data_error(proc)
         assert str(bad) in proc.stderr
         assert not (tmp_path / "vocab.txt").exists()
+
+
+def test_pretrain_with_nothing_to_predict_fails_without_checkpoint(
+        pipeline_run, tmp_path, fixtures_dir):
+    cfg = tmp_path / "nomask.cfg"
+    cfg.write_text((fixtures_dir / "fixture.cfg").read_text(encoding="utf-8")
+                   + "mask_rate=0.0\n", encoding="utf-8")
+    proc = run_cli("pretrain", "--config", cfg, "--corpus", fixtures_dir / "corpus",
+                   "--vocab", pipeline_run / "vocab.txt", "--out", tmp_path / "pre.ckpt")
+    assert_data_error(proc)
+    assert "epoch 1" in proc.stderr
+    assert not (tmp_path / "pre.ckpt").exists()

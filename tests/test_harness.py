@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -16,7 +17,14 @@ from esglm.harness import (
     predict_labels,
     run_finetune,
 )
-from esglm.model import ModelConfig, TrainConfig, compute_gradients, init_params
+from esglm.model import (
+    ModelConfig,
+    TrainConfig,
+    compute_gradients,
+    encoder_forward,
+    forward_classify,
+    init_params,
+)
 from esglm.optim import OptimizerState, adam_step
 from esglm.tokenizer import prepare_input
 
@@ -62,6 +70,25 @@ class TestEvaluate:
         for p, e in zip(preds, splits["test"]):
             correct += int(p == e.label_index("a"))
         assert made.accuracy == correct / len(splits["test"])
+
+    def test_predictions_do_not_depend_on_padding_width(self):
+        rng = np.random.default_rng(1)
+        params = init_params(CFG, seed=2, dtype=np.float64)
+        for name in params.names():  # large weights, so both classes occur
+            params[name] = rng.normal(0.0, 0.3, size=params[name].shape)
+        params["cls.b"][:] = 0.0
+        lengths = rng.integers(1, 11, size=40)
+        narrow = [example(i, "change", rng, n_body=int(n), max_seq_len=12)
+                  for i, n in enumerate(lengths)]
+        wide = [dataclasses.replace(e, input_ids=np.pad(e.input_ids, (0, 4)))
+                for e in narrow]
+        # reference: one full-width forward over all 16 columns
+        ids = np.stack([e.input_ids for e in wide])
+        hidden = encoder_forward(ids, (ids != 0).astype(np.int64), params, CFG)
+        want = np.argmax(forward_classify(hidden, params), axis=-1)
+        assert len(set(want)) == 2
+        np.testing.assert_array_equal(predict_labels(params, CFG, narrow), want)
+        np.testing.assert_array_equal(predict_labels(params, CFG, wide), want)
 
     def test_empty_split_rejected(self):
         with pytest.raises(EmptySplit):

@@ -10,6 +10,7 @@ from esglm.model import (
     batch_arrays,
     compute_gradients,
     cross_entropy,
+    encoder_backward,
     encoder_forward,
     forward_classify,
     forward_mlm,
@@ -17,6 +18,7 @@ from esglm.model import (
     gelu_grad,
     init_params,
     parameter_shapes,
+    trim_batch,
 )
 from esglm.model import _GELU_A, _GELU_C
 from esglm.tokenizer import prepare_input
@@ -372,6 +374,14 @@ class TestGradients:
         rel = finite_difference_check(TINY, (ids, mask, labels), "classify")
         assert rel < 1e-4
 
+    def test_mlm_targets_must_match_ids(self):
+        rng = np.random.default_rng(9)
+        ids, mask = random_batch(rng, TINY)
+        targets = np.full((2, TINY.max_seq_len - 1), IGNORE_INDEX)
+        targets[0, 2] = 7
+        with pytest.raises(ShapeError):
+            compute_gradients((ids, mask, targets), tiny_params(), TINY, "mlm")
+
     def test_classifier_head_untouched_by_mlm(self):
         rng = np.random.default_rng(7)
         params = tiny_params()
@@ -409,3 +419,84 @@ class TestGradients:
             train=True, rng=np.random.default_rng(42),
         )
         assert loss1 == loss2
+
+
+def mlm_targets(rng, ids, mask, rate=0.4):
+    targets = np.where(
+        (mask == 1) & (rng.random(ids.shape) < rate),
+        rng.integers(5, TINY.vocab_size, size=ids.shape),
+        IGNORE_INDEX,
+    )
+    targets[:, 0] = IGNORE_INDEX
+    targets[0, 1] = ids[0, 1]
+    return targets
+
+
+def assert_same_gradients(got, want):
+    assert set(got) == set(want)
+    for name in want:
+        np.testing.assert_allclose(got[name], want[name], rtol=1e-10,
+                                   atol=1e-14, err_msg=name)
+
+
+class TestGatheredMlmHead:
+    def test_loss_and_gradients_equal_the_full_head(self):
+        rng = np.random.default_rng(12)
+        params = spread_params(TINY, 3)
+        ids, mask = random_batch(rng, TINY)
+        targets = mlm_targets(rng, ids, mask)
+        loss, grads = compute_gradients((ids, mask, targets), params, TINY, "mlm")
+
+        # reference: vocabulary logits at every position, ignored rows zeroed
+        hidden, cache = encoder_forward(ids, mask, params, TINY, want_cache=True)
+        logits = hidden @ params["tok_emb"].T + params["mlm_bias"]
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        b, s = np.nonzero(targets != IGNORE_INDEX)
+        n = len(b)
+        dlogits = np.exp(logp)
+        dlogits[b, s, targets[b, s]] -= 1.0
+        dlogits[targets == IGNORE_INDEX] = 0.0
+        dlogits /= n
+        want = params.zeros_like()
+        want["tok_emb"] += np.tensordot(dlogits, hidden, axes=([0, 1], [0, 1]))
+        want["mlm_bias"] += dlogits.sum(axis=(0, 1))
+        encoder_backward(dlogits @ params["tok_emb"], cache, params, TINY, want)
+
+        assert loss == pytest.approx(-logp[b, s, targets[b, s]].sum() / n,
+                                     rel=1e-12)
+        assert_same_gradients(grads, want)
+
+
+class TestTrimBatch:
+    def test_cuts_after_the_last_real_column_and_keeps_interior_pad(self):
+        ids = np.array([[2, 5, 0, 6, 3, 0, 0],
+                        [2, 7, 3, 0, 0, 0, 0]])
+        mask = (ids != 0).astype(np.int64)
+        targets = np.where(ids == 6, 6, IGNORE_INDEX)
+        got = trim_batch(ids, mask, targets)
+        for cut, full in zip(got, (ids, mask, targets)):
+            np.testing.assert_array_equal(cut, full[:, :5])
+
+    def test_keeps_one_column_when_nothing_is_real(self):
+        ids = np.zeros((2, 4), dtype=np.int64)
+        assert [x.shape for x in trim_batch(ids, ids)] == [(2, 1), (2, 1)]
+
+    @pytest.mark.parametrize("objective", ["mlm", "classify"])
+    def test_trimmed_batch_matches_full_width(self, objective):
+        rng = np.random.default_rng(13)
+        params = spread_params(TINY, 4)
+        ids, mask = random_batch(rng, TINY, body_lens=(3, 6))
+        if objective == "mlm":
+            targets = mlm_targets(rng, ids, mask)
+            trimmed = trim_batch(ids, mask, targets)
+        else:
+            targets = np.array([1, 0])
+            trimmed = (*trim_batch(ids, mask), targets)
+        assert trimmed[0].shape == (2, 8) and ids.shape == (2, TINY.max_seq_len)
+
+        loss, grads = compute_gradients(trimmed, params, TINY, objective)
+        want_loss, want = compute_gradients(
+            (ids, mask, targets), params, TINY, objective)
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        assert_same_gradients(grads, want)
