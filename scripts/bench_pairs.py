@@ -2,18 +2,20 @@
 """Compare two checkouts on one benchmark workload in alternated pairs.
 
 Runs `bench/run.py` in a parent checkout and in a change checkout, one pair
-of runs per seed.  Pair i uses seed i; the parent runs first in even pairs
-and the change in odd ones, so drift in the machine's load falls on both
-sides.  The run length is the `run_seconds` of the change's BENCHMARK.json.
+of runs per seed.  Pair i uses seed N + i, where N is `--first-seed`
+(default 0), so a claim can be checked on seeds not used while the change
+was written.  The parent runs first in even pairs and the change in odd
+ones, so drift in the machine's load falls on both sides.  The run length
+is the `run_seconds` of the change's BENCHMARK.json.
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload paper_cli \\
-        --pairs 10 --out BENCH_7.json [--traced]
+        --pairs 10 --out BENCH_7.json [--first-seed N] [--traced]
 
 OUT gets, for the workload: every run's last line, and per end-to-end
 metric the median of each side, the parent's interquartile range, the
 ratio change/parent and the number of pairs the change won (ties count for
 neither side), plus the failed operations of each side.  `--traced` adds
-one `--trace 1` run per side at seed 0.  Entries OUT already holds for other
+one `--trace 1` run per side at seed N.  Entries OUT already holds for other
 workloads are kept, so one file can collect several workloads.  Uses only
 the standard library; it writes nothing but OUT.
 """
@@ -99,22 +101,28 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--out", type=Path, required=True)
+    ap.add_argument("--first-seed", type=int, default=0,
+                    help="seed of pair 0; pair i uses seed FIRST_SEED + i")
     ap.add_argument("--traced", action="store_true",
-                    help="also make one --trace 1 run per side at seed 0")
+                    help="also make one --trace 1 run per side at FIRST_SEED")
     a = ap.parse_args(argv)
     if a.pairs < 1:
         ap.error("--pairs must be >= 1")
+    if a.first_seed < 0:
+        ap.error("--first-seed must be >= 0")
     dirs = dict(zip(SIDES, (a.parent.resolve(), a.change.resolve())))
     spec = json.loads((dirs["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
 
     runs: dict = {side: [] for side in SIDES}
-    for seed in range(a.pairs):
-        for side in (SIDES if seed % 2 == 0 else SIDES[::-1]):
+    for pair in range(a.pairs):
+        seed = a.first_seed + pair
+        for side in (SIDES if pair % 2 == 0 else SIDES[::-1]):
             runs[side].append(bench(dirs[side], a.workload, seed, seconds, 0))
             total = runs[side][-1]["last_line"]
             shown = total and total["metrics"]["total_s"]["value"]
-            print(f"{a.workload} pair {seed} {side}: total_s {shown}", file=sys.stderr)
+            print(f"{a.workload} pair {pair} seed {seed} {side}: total_s {shown}",
+                  file=sys.stderr)
 
     doc = (json.loads(a.out.read_text(encoding="utf-8"))
            if a.out.exists() else {})
@@ -122,7 +130,8 @@ def main(argv=None) -> int:
                       f"--seconds {seconds:g} --trace 0")
     doc["method"] = (
         "runs in pairs, one parent and one change with the same seed; the side "
-        "that runs first alternates from pair to pair; seed = pair index. "
+        "that runs first alternates from pair to pair; seed = first_seed + "
+        "pair index. "
         "Medians over runs; parent_iqr is the distance between the parent's "
         "quartiles (inclusive method); change_wins counts the pairs in which "
         "the change was better, ties counting for neither side.")
@@ -137,13 +146,14 @@ def main(argv=None) -> int:
             doc.setdefault("git_rev", {})[side] = machine["git_rev"]
             doc.setdefault("src_sha256", {})[side] = machine["src_sha256"]
     doc.setdefault("pairs", {})[a.workload] = a.pairs
+    doc.setdefault("first_seed", {})[a.workload] = a.first_seed
     doc.setdefault("summary", {})[a.workload] = summarize(runs, spec["end_to_end"])
     doc.setdefault("runs", {})[a.workload] = {
         side: [{"seed": r["seed"], "last_line": r["last_line"]} for r in runs[side]]
         for side in SIDES}
     if a.traced:
         doc.setdefault("traced", {})[a.workload] = {
-            side: bench(dirs[side], a.workload, 0, seconds, 1)["last_line"]
+            side: bench(dirs[side], a.workload, a.first_seed, seconds, 1)["last_line"]
             for side in SIDES}
     write_json(a.out, doc)
     return 0

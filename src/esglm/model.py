@@ -170,11 +170,11 @@ def init_params(
 
 
 def gelu(x: np.ndarray, with_tanh: bool = False):
-    """tanh-approximation GELU; with_tanh also returns the tanh term.
+    """tanh-approximation GELU; with_tanh also returns the tanh term for gelu_grad.
 
-    gelu_grad takes that term, so the backward pass does not recompute it.
+    The cube is x * x * x: float32 x**3 is slow and varies with SIMD dispatch.
     """
-    t = np.tanh(_GELU_C * (x + _GELU_A * x**3))
+    t = np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
     a = 0.5 * x * (1.0 + t)
     return (a, t) if with_tanh else a
 

@@ -173,7 +173,7 @@ class TestGelu:
     @staticmethod
     def recomputed_grad(x):
         # the derivative as written before gelu_grad took the forward tanh
-        t = np.tanh(_GELU_C * (x + _GELU_A * x**3))
+        t = np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
         return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * _GELU_C * (
             1.0 + 3.0 * _GELU_A * x**2
         )
@@ -189,6 +189,18 @@ class TestGelu:
         grad = gelu_grad(x, t)
         assert grad.dtype == dtype
         assert grad.tobytes() == self.recomputed_grad(x).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_tanh_term_is_odd(self, dtype):
+        # only IEEE multiply, add and tanh: no power routine whose rounding
+        # depends on the sign of x or on the CPU's SIMD dispatch
+        rng = np.random.default_rng(5)
+        x = (rng.normal(size=(8, 32, 64)) * 3.0).astype(dtype)
+        t = gelu(x, with_tanh=True)[1]
+        assert gelu(-x, with_tanh=True)[1].tobytes() == (-t).tobytes()
+        x64 = x.astype(np.float64)
+        reference = np.tanh(_GELU_C * (x64 + _GELU_A * x64**3))
+        assert np.max(np.abs(t - reference)) <= 2e-7
 
     def test_plain_call_returns_only_the_activation(self):
         x = np.linspace(-3.0, 3.0, 7, dtype=np.float32)

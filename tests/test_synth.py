@@ -1,4 +1,6 @@
-from esglm.synth import SynthSpec, as_labeled_examples, generate
+from esglm.synth import (
+    SynthSpec, as_labeled_examples, generate, run_replication_arm,
+)
 from esglm.tokenizer import encode, train_vocab
 
 
@@ -53,3 +55,12 @@ def test_as_labeled_examples_round_trip():
         assert len(ex.input_ids) == spec.max_seq_len
         assert ex.task_a_label == label
         assert ex.input_ids[1] == encode(text, vocab)[0]
+
+
+def test_replication_arm_repeats_within_one_process():
+    # a later call must not see state a former one left behind (caches,
+    # shared buffers, a global RNG), or repeated benchmark passes disagree
+    spec = SynthSpec(corpus_docs=32, n_train=24, n_val=8, n_test=16)
+    first = run_replication_arm(spec, 3)
+    assert len(first.pretrain_trace) == 8
+    assert run_replication_arm(spec, 3) == first
