@@ -15,9 +15,11 @@ OUT gets, for the workload: every run's last line, and per end-to-end
 metric the median of each side, the parent's interquartile range, the
 ratio change/parent and the number of pairs the change won (ties count for
 neither side), plus the failed operations of each side.  `--traced` adds
-one `--trace 1` run per side at seed N.  Entries OUT already holds for other
-workloads are kept, so one file can collect several workloads.  Uses only
-the standard library; it writes nothing but OUT.
+three `--trace 1` pairs at seeds N, N+1 and N+2, alternated the same way, and
+records every traced run plus, per per-layer metric, each side's median over
+them.  Entries OUT already holds for other workloads are kept, so one file
+can collect several workloads.  Uses only the standard library; it writes
+nothing but OUT.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
+TRACED_PAIRS = 3
 
 
 def bench(checkout: Path, workload: str, seed: int, seconds: float,
@@ -47,6 +50,43 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float,
         return {"seed": seed, "last_line": None, "record": None}
     return {"seed": seed, "last_line": json.loads(lines[-1]),
             "record": json.loads(lines[-2].removeprefix("record: "))}
+
+
+def run_pairs(dirs: dict, workload: str, first_seed: int, pairs: int,
+              seconds: float, trace: int) -> dict:
+    """Per side, one run per pair; the side that runs first alternates."""
+    runs: dict = {side: [] for side in SIDES}
+    for pair in range(pairs):
+        seed = first_seed + pair
+        for side in (SIDES if pair % 2 == 0 else SIDES[::-1]):
+            runs[side].append(bench(dirs[side], workload, seed, seconds, trace))
+            total = runs[side][-1]["last_line"]
+            shown = total and total["metrics"]["total_s"]["value"]
+            print(f"{workload} trace {trace} pair {pair} seed {seed} {side}: "
+                  f"total_s {shown}", file=sys.stderr)
+    return runs
+
+
+def run_lines(runs: dict) -> dict:
+    """Per side, each run's seed and last line, as OUT records them."""
+    return {side: [{"seed": r["seed"], "last_line": r["last_line"]}
+                   for r in runs[side]]
+            for side in SIDES}
+
+
+def layer_medians(runs: dict, per_layer: list[dict]) -> dict:
+    """Per per-layer metric, the median of each side's successful runs."""
+    out: dict = {}
+    for metric in per_layer:
+        name = metric["name"]
+        values = {side: [r["last_line"]["metrics"][name]["value"]
+                         for r in runs[side]
+                         if r["last_line"] and name in r["last_line"]["metrics"]]
+                  for side in SIDES}
+        if all(values.values()):
+            out[name] = {f"{side}_median": statistics.median(values[side])
+                         for side in SIDES}
+    return out
 
 
 def quartile_gap(values: list[float]) -> float:
@@ -104,7 +144,8 @@ def main(argv=None) -> int:
     ap.add_argument("--first-seed", type=int, default=0,
                     help="seed of pair 0; pair i uses seed FIRST_SEED + i")
     ap.add_argument("--traced", action="store_true",
-                    help="also make one --trace 1 run per side at FIRST_SEED")
+                    help=f"also make {TRACED_PAIRS} alternated --trace 1 pairs "
+                         "from FIRST_SEED")
     a = ap.parse_args(argv)
     if a.pairs < 1:
         ap.error("--pairs must be >= 1")
@@ -114,15 +155,9 @@ def main(argv=None) -> int:
     spec = json.loads((dirs["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
 
-    runs: dict = {side: [] for side in SIDES}
-    for pair in range(a.pairs):
-        seed = a.first_seed + pair
-        for side in (SIDES if pair % 2 == 0 else SIDES[::-1]):
-            runs[side].append(bench(dirs[side], a.workload, seed, seconds, 0))
-            total = runs[side][-1]["last_line"]
-            shown = total and total["metrics"]["total_s"]["value"]
-            print(f"{a.workload} pair {pair} seed {seed} {side}: total_s {shown}",
-                  file=sys.stderr)
+    runs = run_pairs(dirs, a.workload, a.first_seed, a.pairs, seconds, 0)
+    traced = (run_pairs(dirs, a.workload, a.first_seed, TRACED_PAIRS, seconds, 1)
+              if a.traced else None)
 
     doc = (json.loads(a.out.read_text(encoding="utf-8"))
            if a.out.exists() else {})
@@ -148,13 +183,12 @@ def main(argv=None) -> int:
     doc.setdefault("pairs", {})[a.workload] = a.pairs
     doc.setdefault("first_seed", {})[a.workload] = a.first_seed
     doc.setdefault("summary", {})[a.workload] = summarize(runs, spec["end_to_end"])
-    doc.setdefault("runs", {})[a.workload] = {
-        side: [{"seed": r["seed"], "last_line": r["last_line"]} for r in runs[side]]
-        for side in SIDES}
-    if a.traced:
+    doc.setdefault("runs", {})[a.workload] = run_lines(runs)
+    if traced:
         doc.setdefault("traced", {})[a.workload] = {
-            side: bench(dirs[side], a.workload, a.first_seed, seconds, 1)["last_line"]
-            for side in SIDES}
+            "runs": run_lines(traced),
+            "layer_medians": layer_medians(traced, spec["per_layer"]),
+        }
     write_json(a.out, doc)
     return 0
 

@@ -55,18 +55,14 @@ def save_checkpoint(
     meta_bytes = json.dumps(doc, sort_keys=True).encode("utf-8")
     names = list(parameter_shapes(config))
     with artifact(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<I", len(meta_bytes)))
-        fh.write(meta_bytes)
-        fh.write(struct.pack("<I", len(names)))
+        fh.write(MAGIC + struct.pack("<II", FORMAT_VERSION, len(meta_bytes)))
+        fh.write(meta_bytes + struct.pack("<I", len(names)))
         for name in names:
             tensor = np.ascontiguousarray(params[name], dtype="<f4")
             name_bytes = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(name_bytes)))
-            fh.write(name_bytes)
-            fh.write(struct.pack("<BB", _DTYPE_CODE, tensor.ndim))
-            fh.write(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
+            fh.write(struct.pack("<I", len(name_bytes)) + name_bytes)
+            fh.write(struct.pack(f"<BB{tensor.ndim}I", _DTYPE_CODE, tensor.ndim,
+                                 *tensor.shape))
             fh.write(tensor.tobytes())
 
 
@@ -104,25 +100,18 @@ def load_checkpoint(path) -> tuple[ParameterSet, ModelConfig, CheckpointMeta]:
             dtype_code, rank = struct.unpack("<BB", _read_exact(fh, 2, "dtype/rank"))
             if dtype_code not in _DTYPES:
                 raise CorruptCheckpoint(f"{path}: unknown dtype {dtype_code}")
-            dims = struct.unpack(
-                f"<{rank}I", _read_exact(fh, 4 * rank, "dims")
-            )
+            dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "dims"))
             dtype = _DTYPES[dtype_code]
             n_bytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize
             payload = _read_exact(fh, n_bytes, f"payload of {name}")
-            tensors[name] = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+            tensors[name] = np.frombuffer(payload, dtype=dtype).reshape(dims)
         if fh.read(1):
             raise CorruptCheckpoint(f"{path}: trailing bytes after tensors")
 
     expected = parameter_shapes(config)
-    if set(tensors) != set(expected):
+    shapes = {name: t.shape for name, t in tensors.items()}
+    if shapes != expected:
+        wrong = sorted(set(shapes.items()) ^ set(expected.items()))
         raise CorruptCheckpoint(
-            f"{path}: tensor names do not match the embedded config"
-        )
-    for name, shape in expected.items():
-        if tensors[name].shape != shape:
-            raise CorruptCheckpoint(
-                f"{path}: {name} has shape {tensors[name].shape}, "
-                f"config implies {shape}"
-            )
-    return ParameterSet(tensors), config, meta
+            f"{path}: tensors {wrong} do not match the embedded config")
+    return ParameterSet({name: tensors[name] for name in expected}), config, meta

@@ -37,15 +37,9 @@ class ModelConfig:
     dropout_rate: float = 0.1
 
     def __post_init__(self):
-        counts = {
-            "vocab_size": self.vocab_size,
-            "hidden_dim": self.hidden_dim,
-            "num_layers": self.num_layers,
-            "num_heads": self.num_heads,
-            "ffn_dim": self.ffn_dim,
-            "max_seq_len": self.max_seq_len,
-        }
-        for name, value in counts.items():
+        for name in ("vocab_size", "hidden_dim", "num_layers", "num_heads",
+                     "ffn_dim", "max_seq_len"):
+            value = getattr(self, name)
             if int(value) < 1:
                 raise InvalidConfig(f"{name} must be >= 1, got {value}")
         if self.hidden_dim % self.num_heads != 0:
@@ -115,30 +109,46 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-@dataclass
 class ParameterSet:
-    """Named weight tensors, all sharing one dtype."""
+    """Named weight tensors: views, in `layout` order, into one flat buffer.
 
-    tensors: dict[str, np.ndarray]
+    Zeroing, copying and the Adam update each run once over `flat`.
+    Assignment copies into a view; it never rebinds a name.
+    """
+
+    def __init__(self, tensors: dict[str, np.ndarray], flat: np.ndarray | None = None):
+        """Copy tensors into a new buffer, or, given flat, view it in their shapes."""
+        if flat is None:
+            flat = np.concatenate([np.ravel(t) for t in tensors.values()])
+        self.flat = flat
+        self.layout = [(name, np.shape(t)) for name, t in tensors.items()]
+        self.tensors: dict[str, np.ndarray] = {}
+        end = 0
+        for name, shape in self.layout:
+            start, end = end, end + math.prod(shape)
+            self.tensors[name] = flat[start:end].reshape(shape)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
 
     def __setitem__(self, name: str, value: np.ndarray) -> None:
-        self.tensors[name] = value
+        view = self.tensors[name]
+        if value is not view:  # after `params[name] += x` it already is
+            if np.shape(value) != view.shape:
+                raise ShapeError(f"{name}: shape {np.shape(value)} != {view.shape}")
+            view[...] = value
+
+    def __iter__(self):
+        return iter(self.tensors)
 
     def names(self) -> list[str]:
         return list(self.tensors)
 
-    @property
-    def dtype(self) -> np.dtype:
-        return self.tensors["tok_emb"].dtype
-
-    def zeros_like(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self.tensors.items()}
+    def zeros_like(self) -> "ParameterSet":
+        return ParameterSet(self.tensors, np.zeros_like(self.flat))
 
     def copy(self) -> "ParameterSet":
-        return ParameterSet({k: v.copy() for k, v in self.tensors.items()})
+        return ParameterSet(self.tensors, self.flat.copy())
 
 
 def _trunc_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
@@ -165,7 +175,7 @@ def init_params(
             t = np.zeros(shape)
         else:
             t = _trunc_normal(rng, shape, INIT_STD)
-        tensors[name] = np.ascontiguousarray(t, dtype=dtype)
+        tensors[name] = np.asarray(t, dtype=dtype)
     return ParameterSet(tensors)
 
 
@@ -303,7 +313,7 @@ def encoder_backward(
     cache: dict,
     params: ParameterSet,
     config: ModelConfig,
-    grads: dict[str, np.ndarray],
+    grads: ParameterSet,
     train: bool = False,
 ) -> None:
     """Accumulate d(loss)/d(param) into grads, given d(loss)/d(hidden)."""
@@ -379,13 +389,11 @@ def forward_mlm(hidden: np.ndarray, params: ParameterSet) -> np.ndarray:
 
 def forward_classify(hidden: np.ndarray, params: ParameterSet) -> np.ndarray:
     """CLS pooling (linear + tanh) followed by the 2-way classifier."""
-    if hidden.shape[-1] != params["pooler.w"].shape[0]:
-        raise ShapeError(
-            f"hidden dim {hidden.shape[-1]} != pooler dim "
-            f"{params['pooler.w'].shape[0]}"
-        )
+    w = params["pooler.w"]
+    if hidden.shape[-1] != w.shape[0]:
+        raise ShapeError(f"hidden dim {hidden.shape[-1]} != pooler dim {w.shape[0]}")
     cls_h = hidden[..., 0, :]
-    pooled = np.tanh(cls_h @ params["pooler.w"] + params["pooler.b"])
+    pooled = np.tanh(cls_h @ w + params["pooler.b"])
     return pooled @ params["cls.w"] + params["cls.b"]
 
 
@@ -435,7 +443,7 @@ def compute_gradients(
     objective: str,
     train: bool = False,
     rng: np.random.Generator | None = None,
-) -> tuple[float, dict[str, np.ndarray]]:
+) -> tuple[float, ParameterSet]:
     """Exact reverse-mode gradients of the scalar loss for one batch.
 
     batch is (ids, attention_mask, targets): per-position original-token
@@ -453,14 +461,13 @@ def compute_gradients(
         ids, mask, params, config, train=train, rng=rng, want_cache=True
     )
     grads = params.zeros_like()
-
+    dh = np.zeros_like(hidden)
     if objective == "mlm":
         # the vocabulary head runs only at positions that have a target
         rows = targets != IGNORE_INDEX
         picked = hidden[rows]
         logits = forward_mlm(picked, params)
         loss, dlogits = _cross_entropy_with_grad(logits, targets[rows])
-        dh = np.zeros_like(hidden)
         dh[rows] = dlogits @ params["tok_emb"]
         # tied projection: the embedding matrix also collects the head grad
         grads["tok_emb"] += dlogits.T @ picked
@@ -476,7 +483,6 @@ def compute_gradients(
         dz = dpooled * (1.0 - pooled**2)
         grads["pooler.w"] += cls_h.T @ dz
         grads["pooler.b"] += dz.sum(axis=0)
-        dh = np.zeros_like(hidden)
         dh[:, 0, :] = dz @ params["pooler.w"].T
 
     if not np.isfinite(loss):

@@ -1,12 +1,13 @@
-"""Adam with bias correction, operating on named parameter tensors.
+"""Adam with bias correction, as whole-buffer operations on ParameterSets.
 
-The update mutates the ParameterSet in place (the training loop is the
-single writer); moments live in OptimizerState and mirror the parameter
-shapes exactly.
+A step computes new parameters and moments, checks them, then writes them
+in place (the training loop is the single writer): a failed step changes
+nothing.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +18,8 @@ from .model import ParameterSet, TrainConfig
 
 @dataclass
 class OptimizerState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: ParameterSet
+    v: ParameterSet
     t: int = 0
 
     @classmethod
@@ -28,35 +29,39 @@ class OptimizerState:
 
 def adam_step(
     params: ParameterSet,
-    grads: dict[str, np.ndarray],
+    grads: ParameterSet,
     state: OptimizerState,
     tc: TrainConfig,
 ) -> tuple[ParameterSet, OptimizerState]:
     """One Adam update: m, v moments, bias correction, then the step.
 
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps), t incremented by 1.
+    Raises NumericError, naming the first tensor at fault, if theta, m or v
+    would hold a non-finite value; params and state are then unchanged.
     """
-    if set(grads) != set(params.tensors):
-        raise ShapeError("gradient names do not mirror parameters")
-    state.t += 1
+    if grads.layout != params.layout:
+        raise ShapeError("gradient names and shapes do not mirror parameters")
+    t = state.t + 1
     b1, b2 = tc.adam_beta1, tc.adam_beta2
-    bc1 = 1.0 - b1**state.t
-    bc2 = 1.0 - b2**state.t
-    for name, theta in params.tensors.items():
-        g = grads[name]
-        if g.shape != theta.shape:
-            raise ShapeError(f"gradient shape mismatch for {name}")
-        m = state.m[name]
-        v = state.v[name]
-        with np.errstate(invalid="ignore"):  # finiteness is checked below
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            update = tc.learning_rate * (m / bc1) / (
-                np.sqrt(v / bc2) + tc.adam_epsilon
-            )
-            theta -= update
-        if not np.all(np.isfinite(theta)):
-            raise NumericError(f"non-finite update for parameter {name}")
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
+    g = grads.flat
+    with np.errstate(invalid="ignore"):  # finiteness is checked below
+        m = state.m.flat * b1
+        m += (1.0 - b1) * g
+        v = state.v.flat * b2
+        v += (1.0 - b2) * g * g
+        update = tc.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + tc.adam_epsilon)
+        theta = params.flat - update
+    finite = np.isfinite(theta) & np.isfinite(m) & np.isfinite(v)
+    if not finite.all():
+        bad = int(np.argmin(finite))  # the first non-finite index
+        for name, shape in params.layout:
+            bad -= math.prod(shape)
+            if bad < 0:
+                raise NumericError(f"non-finite update for parameter {name}")
+    params.flat[...] = theta
+    state.m.flat[...] = m
+    state.v.flat[...] = v
+    state.t = t
     return params, state

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from esglm.errors import NumericError
+from esglm.errors import NumericError, ShapeError
 from esglm.model import ModelConfig, ParameterSet, TrainConfig, init_params
 from esglm.optim import OptimizerState, adam_step
 
@@ -30,7 +30,7 @@ def test_hand_computed_first_step():
     # theta -> 1 - 0.1/(1 + 1e-8)
     params, state = scalar_setup(theta=1.0)
     tc = TrainConfig(learning_rate=0.1)
-    adam_step(params, {"tok_emb": np.array([[1.0]])}, state, tc)
+    adam_step(params, ParameterSet({"tok_emb": np.array([[1.0]])}), state, tc)
     assert state.t == 1
     np.testing.assert_allclose(state.m["tok_emb"], [[0.1]], atol=1e-15)
     np.testing.assert_allclose(state.v["tok_emb"], [[0.001]], rtol=1e-12)
@@ -42,7 +42,7 @@ def test_hand_computed_first_step():
 def test_bias_correction_changes_second_step():
     params, state = scalar_setup(theta=1.0)
     tc = TrainConfig(learning_rate=0.1)
-    g = {"tok_emb": np.array([[1.0]])}
+    g = ParameterSet({"tok_emb": np.array([[1.0]])})
     adam_step(params, g, state, tc)
     after_first = float(params["tok_emb"][0, 0])
     step1 = 1.0 - after_first
@@ -71,7 +71,8 @@ def test_moments_stay_nonnegative_and_shapes_mirror():
     state = OptimizerState.for_params(params)
     rng = np.random.default_rng(0)
     for _ in range(5):
-        grads = {k: rng.normal(size=v.shape) for k, v in params.tensors.items()}
+        grads = ParameterSet(
+            {k: rng.normal(size=v.shape) for k, v in params.tensors.items()})
         adam_step(params, grads, state, TrainConfig(learning_rate=1e-3))
     for name in params.names():
         assert state.v[name].shape == params[name].shape
@@ -81,6 +82,130 @@ def test_moments_stay_nonnegative_and_shapes_mirror():
 
 def test_nonfinite_update_raises():
     params, state = scalar_setup()
-    with pytest.raises(NumericError):
-        adam_step(params, {"tok_emb": np.array([[np.inf]])}, state,
+    with pytest.raises(NumericError, match="parameter tok_emb$"):
+        adam_step(params, ParameterSet({"tok_emb": np.array([[np.inf]])}), state,
                   TrainConfig(learning_rate=0.1))
+
+
+def _reference_adam_step(params, grads, state, tc):
+    """The per-tensor Adam loop that the flat-buffer step replaced."""
+    if set(grads) != set(params.tensors):
+        raise ShapeError("gradient names do not mirror parameters")
+    state.t += 1
+    b1, b2 = tc.adam_beta1, tc.adam_beta2
+    bc1 = 1.0 - b1**state.t
+    bc2 = 1.0 - b2**state.t
+    for name, theta in params.tensors.items():
+        g = grads[name]
+        if g.shape != theta.shape:
+            raise ShapeError(f"gradient shape mismatch for {name}")
+        m = state.m[name]
+        v = state.v[name]
+        with np.errstate(invalid="ignore"):  # finiteness is checked below
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            update = tc.learning_rate * (m / bc1) / (
+                np.sqrt(v / bc2) + tc.adam_epsilon
+            )
+            theta -= update
+        if not np.all(np.isfinite(theta)):
+            raise NumericError(f"non-finite update for parameter {name}")
+    return params, state
+
+
+def mixed_gradients(params, rng):
+    """float32 gradients whose entries span eleven orders of magnitude."""
+    return ParameterSet({
+        k: (rng.normal(size=v.shape) * 10.0 ** rng.uniform(-8, 3, size=v.shape))
+        .astype(np.float32)
+        for k, v in params.tensors.items()
+    })
+
+
+def bits(a):
+    return a.view(np.uint32)
+
+
+def test_flat_step_matches_the_per_tensor_loop_bit_for_bit():
+    params = init_params(CFG, seed=3)  # float32, as in training
+    ref = params.copy()
+    state = OptimizerState.for_params(params)
+    ref_state = OptimizerState.for_params(ref)
+    tc = TrainConfig(learning_rate=1e-3)
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        grads = mixed_gradients(params, rng)
+        adam_step(params, grads, state, tc)
+        _reference_adam_step(ref, grads, ref_state, tc)
+        np.testing.assert_array_equal(bits(params.flat), bits(ref.flat))
+        np.testing.assert_array_equal(bits(state.m.flat), bits(ref_state.m.flat))
+        np.testing.assert_array_equal(bits(state.v.flat), bits(ref_state.v.flat))
+    assert state.t == ref_state.t == 20
+
+
+def test_failed_step_changes_nothing():
+    params = init_params(CFG, seed=4)
+    state = OptimizerState.for_params(params)
+    tc = TrainConfig(learning_rate=1e-3)
+    rng = np.random.default_rng(8)
+    for _ in range(2):  # nonzero moments, t > 0
+        adam_step(params, mixed_gradients(params, rng), state, tc)
+    before = (params.flat.copy(), state.m.flat.copy(), state.v.flat.copy())
+    grads = mixed_gradients(params, rng)
+    last = params.names()[-1]
+    grads[last] = np.full(params[last].shape, np.inf)
+    with pytest.raises(NumericError, match=f"parameter {last}$"):
+        adam_step(params, grads, state, tc)
+    for got, want in zip((params.flat, state.m.flat, state.v.flat), before):
+        np.testing.assert_array_equal(bits(got), bits(want))
+    assert state.t == 2
+
+
+def test_mismatched_gradient_layout_raises():
+    params, state = scalar_setup()
+    with pytest.raises(ShapeError):
+        adam_step(params, ParameterSet({"tok_emb": np.ones((1, 2))}), state,
+                  TrainConfig())
+    assert state.t == 0
+
+
+class TestParameterSet:
+    def test_tensors_are_views_of_flat_in_order(self):
+        params = init_params(CFG, seed=0)
+        start = 0
+        for name in params:
+            size = params[name].size
+            np.testing.assert_array_equal(
+                params[name].ravel(), params.flat[start : start + size])
+            assert np.shares_memory(params[name], params.flat)
+            start += size
+        assert start == params.flat.size
+
+    def test_assignment_writes_into_flat(self):
+        params = init_params(CFG, seed=0)
+        view = params["cls.b"]
+        params["cls.b"] = np.array([3.0, -4.0])
+        assert params["cls.b"] is view
+        np.testing.assert_array_equal(params.flat[-2:], [3.0, -4.0])
+
+    def test_wrongly_shaped_assignment_raises(self):
+        params = init_params(CFG, seed=0)
+        before = params.flat.copy()
+        with pytest.raises(ShapeError):
+            params["cls.b"] = np.zeros(3)
+        with pytest.raises(ShapeError):
+            params["cls.w"] = np.zeros(2)  # would broadcast
+        np.testing.assert_array_equal(params.flat, before)
+
+    def test_copy_and_zeros_like_share_no_memory(self):
+        params = init_params(CFG, seed=0)
+        for other in (params.copy(), params.zeros_like()):
+            assert other.names() == params.names()
+            assert not np.shares_memory(other.flat, params.flat)
+            for name in params:
+                assert other[name].shape == params[name].shape
+                assert np.shares_memory(other[name], other.flat)
+        np.testing.assert_array_equal(params.copy().flat, params.flat)
+        assert not params.zeros_like().flat.any()
