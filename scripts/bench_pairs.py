@@ -60,8 +60,10 @@ def run_pairs(dirs: dict, workload: str, first_seed: int, pairs: int,
         seed = first_seed + pair
         for side in (SIDES if pair % 2 == 0 else SIDES[::-1]):
             runs[side].append(bench(dirs[side], workload, seed, seconds, trace))
-            total = runs[side][-1]["last_line"]
-            shown = total and total["metrics"]["total_s"]["value"]
+            line = runs[side][-1]["last_line"]
+            # a traced run prints per-layer metrics only, so no total_s
+            shown = ("failed" if line is None
+                     else line["metrics"].get("total_s", {}).get("value", "-"))
             print(f"{workload} trace {trace} pair {pair} seed {seed} {side}: "
                   f"total_s {shown}", file=sys.stderr)
     return runs
@@ -156,8 +158,6 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
 
     runs = run_pairs(dirs, a.workload, a.first_seed, a.pairs, seconds, 0)
-    traced = (run_pairs(dirs, a.workload, a.first_seed, TRACED_PAIRS, seconds, 1)
-              if a.traced else None)
 
     doc = (json.loads(a.out.read_text(encoding="utf-8"))
            if a.out.exists() else {})
@@ -184,12 +184,14 @@ def main(argv=None) -> int:
     doc.setdefault("first_seed", {})[a.workload] = a.first_seed
     doc.setdefault("summary", {})[a.workload] = summarize(runs, spec["end_to_end"])
     doc.setdefault("runs", {})[a.workload] = run_lines(runs)
-    if traced:
+    write_json(a.out, doc)  # so an interrupted traced pass keeps the timed pairs
+    if a.traced:
+        traced = run_pairs(dirs, a.workload, a.first_seed, TRACED_PAIRS, seconds, 1)
         doc.setdefault("traced", {})[a.workload] = {
             "runs": run_lines(traced),
             "layer_medians": layer_medians(traced, spec["per_layer"]),
         }
-    write_json(a.out, doc)
+        write_json(a.out, doc)
     return 0
 
 
