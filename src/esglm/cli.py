@@ -27,6 +27,7 @@ from .extract import (
     DEFAULT_BENCHMARK,
     DanEmbedder,
     ExtractionConfig,
+    embed_benchmarks,
     extract_top_k,
     segment_sentences,
 )
@@ -153,10 +154,6 @@ def _parse_split(text: str) -> tuple[float, float, float]:
     return a, b, c
 
 
-def _benchmarks(cfg: PipelineConfig) -> tuple[str, ...]:
-    return tuple(s.strip() for s in cfg.benchmark.split("|") if s.strip())
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -200,17 +197,21 @@ def cmd_extract(args, cfg: PipelineConfig) -> int:
         vocab, params["tok_emb"].astype(np.float64),
         embed_dim=cfg.dan_dim or None, seed=cfg.dan_seed,
     )
-    ex_cfg = ExtractionConfig(top_k=cfg.top_k, benchmark_sentences=_benchmarks(cfg))
+    benchmarks = tuple(s.strip() for s in cfg.benchmark.split("|") if s.strip())
+    ex_cfg = ExtractionConfig(top_k=cfg.top_k, benchmark_sentences=benchmarks)
+    bench = embed_benchmarks(ex_cfg, embedder)
     docs = data.load_manifest(args.manifest)
 
     def record(doc) -> dict:
-        ext = extract_top_k(doc, ex_cfg, embedder)
+        ext = extract_top_k(doc, ex_cfg, embedder, bench)
         enc = prepare_input(ext.token_ids, cfg.seq_len)
         return {
             "doc_id": doc.doc_id, "ticker": doc.ticker,
             "year": doc.year, "quarter": doc.quarter,
             "selected": [
-                {"index": s.index, "score": score, "text": s.text}
+                # a sentence with no known token scores -inf: JSON null
+                {"index": s.index, "score": None if score == -np.inf else score,
+                 "text": s.text}
                 for s, score in zip(ext.sentences, ext.scores)
             ],
             "token_count": len(ext.token_ids),

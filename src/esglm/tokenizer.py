@@ -9,6 +9,7 @@ pre-tokens.
 from __future__ import annotations
 
 import heapq
+import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
@@ -27,11 +28,16 @@ NUM_SPECIALS = len(SPECIAL_TOKENS)
 class Vocab:
     """Immutable token inventory; ids are dense 0..len-1, specials first.
 
-    Safe to share across concurrent encode calls.
+    pieces caches encode's ids per text chunk; equality ignores it.  Safe to
+    share across concurrent encode calls: under the GIL each dict read and
+    write is atomic, and threads racing on one chunk store equal pieces.
     """
 
     tokens: tuple[str, ...]
     index: dict[str, int] = field(repr=False)
+    pieces: dict[str, tuple[int, ...]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.tokens[:NUM_SPECIALS] != SPECIAL_TOKENS:
@@ -81,6 +87,9 @@ class EncodedInput:
     real_len: int
 
 
+_NON_WORD_CHUNK = re.compile(r"(?:[^\W_]|')+|\S")  # [^\W_] is str.isalnum()
+
+
 def pretokenize(text: str) -> list[str]:
     """Lowercase and split into words, with punctuation split off.
 
@@ -89,21 +98,11 @@ def pretokenize(text: str) -> list[str]:
     uncased-BERT convention.
     """
     words: list[str] = []
-    current: list[str] = []
-    for ch in text.lower():
-        if ch.isspace():
-            if current:
-                words.append("".join(current))
-                current = []
-        elif ch.isalnum() or ch == "'":
-            current.append(ch)
+    for chunk in text.lower().split():
+        if chunk.isalnum():
+            words.append(chunk)
         else:
-            if current:
-                words.append("".join(current))
-                current = []
-            words.append(ch)
-    if current:
-        words.append("".join(current))
+            words.extend(_NON_WORD_CHUNK.findall(chunk))
     return words
 
 
@@ -216,11 +215,16 @@ def encode(text: str, vocab: Vocab) -> list[int]:
     """Greedy longest-match-first WordPiece encoding of lowercased text.
 
     A word in which some remainder has no matching piece collapses to a
-    single UNK.  Pure: repeated calls return identical output.
+    single UNK.  Pure: repeated calls return identical output.  Words never
+    span whitespace, so each distinct whitespace-free chunk is encoded once
+    per vocab and then read from vocab.pieces.
     """
-    ids: list[int] = []
-    for word in pretokenize(text):
-        ids.extend(_encode_word(word, vocab))
+    memo, ids = vocab.pieces, []
+    for chunk in text.lower().split():
+        if chunk not in memo:  # lower() is idempotent: chunk splits as in text
+            words = pretokenize(chunk)
+            memo[chunk] = tuple(i for w in words for i in _encode_word(w, vocab))
+        ids += memo[chunk]
     return ids
 
 

@@ -185,6 +185,10 @@ def test_criterion_4_extraction_oracle(fixtures_dir):
             e = self.inner.embed(text)
             return SentenceEmbedding(e.vector * self.factor, e.is_zero)
 
+        def embed_batch(self, id_lists):
+            vectors, zero = self.inner.embed_batch(id_lists)
+            return vectors * self.factor, zero
+
     checked = 0
     for doc in docs:
         sentences = segment_sentences(doc)

@@ -364,6 +364,28 @@ def test_failed_extract_leaves_previous_output(pipeline_run, tmp_path,
         "blank.txt", "extracted.jsonl", "filings.jsonl", "first.txt"]
 
 
+def test_sentence_without_known_token_scores_null(pipeline_run, tmp_path,
+                                                  fixtures_dir):
+    # its score is -inf, which JSON cannot hold: the line must stay valid JSON
+    (tmp_path / "f.txt").write_text("€€ ¥¥ ¥", encoding="utf-8")
+    manifest = tmp_path / "filings.jsonl"
+    manifest.write_text(json.dumps(
+        {"ticker": "ZZZ", "year": 2015, "quarter": 1, "path": "f.txt"}) + "\n",
+        encoding="utf-8")
+    out = tmp_path / "extracted.jsonl"
+    assert main(["extract", "--config", str(fixtures_dir / "fixture.cfg"),
+                 "--manifest", str(manifest),
+                 "--vocab", str(pipeline_run / "vocab.txt"),
+                 "--ckpt", str(pipeline_run / "pre.ckpt"), "--out", str(out)]) == 0
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    (rec,) = [json.loads(line, parse_constant=reject)
+              for line in out.read_text(encoding="utf-8").splitlines()]
+    assert rec["selected"] == [{"index": 0, "score": None, "text": "€€ ¥¥ ¥"}]
+
+
 class TestTokenIdRange:
     def test_evaluate_rejects_id_beyond_vocab(self, pipeline_run, tmp_path):
         params, config, _ = load_checkpoint(pipeline_run / "pre.ckpt")

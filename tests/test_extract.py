@@ -1,18 +1,27 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from esglm.checkpoint import load_checkpoint
+from esglm.cli import load_config
+from esglm.data import load_manifest
 from esglm.errors import EmptyDocument, InvalidConfig
 from esglm.extract import (
+    DEFAULT_ABBREVIATIONS,
     DanEmbedder,
     DanParams,
     ExtractionConfig,
+    Sentence,
     cosine_similarity,
     dan_embed,
     extract_top_k,
     score_sentences,
     segment_sentences,
 )
-from esglm.tokenizer import Vocab, prepare_input
+from esglm.tokenizer import Vocab, encode, prepare_input
 
 WORDS = ["climate", "carbon", "water", "waste", "energy", "revenue",
          "sales", "office", "team", "report"]
@@ -85,6 +94,129 @@ class TestSegmentation:
     def test_no_trailing_terminator(self):
         got = segment_sentences("First one. Second without end")
         assert [s.text for s in got] == ["First one.", "Second without end"]
+
+
+def _reference_segment_sentences(text, abbreviations=DEFAULT_ABBREVIATIONS):
+    """The per-character segmenter that the regex scan replaced."""
+
+    def is_abbreviation(period_pos):
+        head = text[:period_pos]
+        for ab in abbreviations:
+            if head.endswith(ab):
+                before = period_pos - len(ab) - 1
+                if before < 0 or not (text[before].isalnum() or text[before] == "."):
+                    return True
+        return False
+
+    boundaries = []
+    i = 0
+    n = len(text)
+    while i < n:
+        if text[i] in ".!?":
+            run_start = i
+            while i < n and text[i] in ".!?":
+                i += 1
+            if i < n and not text[i].isspace():
+                continue
+            run = text[run_start:i]
+            if run == ".":
+                prev_c = text[run_start - 1] if run_start > 0 else ""
+                next_c = text[run_start + 1] if run_start + 1 < n else ""
+                if prev_c.isdigit() and next_c.isdigit():
+                    continue
+                if is_abbreviation(run_start):
+                    continue
+            boundaries.append(i)
+        else:
+            i += 1
+    sentences = []
+    seg_start = 0
+    for b in boundaries + [n]:
+        if b < seg_start:
+            continue
+        raw = text[seg_start:b]
+        stripped = raw.strip()
+        if stripped:
+            offset = seg_start + (len(raw) - len(raw.lstrip()))
+            sentences.append(Sentence(stripped, offset, len(sentences)))
+        seg_start = b
+    return sentences
+
+
+# text as (head, terminator run, gap) triples, so that every rule meets
+# every context: digits around a period, each default abbreviation and
+# look-alikes before a run, and runs followed by mixed whitespace or not
+SEGMENT_TEXT = st.lists(st.tuples(
+    st.sampled_from(["", "a", "Z", "3", "14", "word", "_", "Xinc", "e.g", "u.s",
+                     *DEFAULT_ABBREVIATIONS]),
+    st.sampled_from(["", ".", "!", "?", "...", "?!", "!.", ".."]),
+    st.sampled_from(["", " ", "  ", "\t", "\n", "\xa0", "\u2003", "\x1c", "5"]),
+), max_size=25).map(lambda parts: "".join(map("".join, parts)))
+
+
+class TestSegmentationMatchesReference:
+    @settings(max_examples=300)
+    @given(SEGMENT_TEXT)
+    @example("Revenue was 3. 5 million. Mr. Smith et al. left!? U.S. 1.2 No.")
+    def test_random_text(self, text):
+        assert segment_sentences(text) == _reference_segment_sentences(text)
+
+    def test_fixture_filings(self, fixtures_dir):
+        for path in sorted((fixtures_dir / "filings").glob("*.txt")):
+            text = path.read_text(encoding="utf-8")
+            assert segment_sentences(text) == _reference_segment_sentences(text)
+
+
+class TestBatchedDan:
+    def test_rows_match_one_sentence_dan_embed(self):
+        e = fresh_embedder(seed=7, d=16)
+        rng = np.random.default_rng(11)
+        pool = WORDS + ["zzz", "€", "qqq"]
+        texts = [" ".join(rng.choice(pool, size=rng.integers(0, 9)).tolist())
+                 for _ in range(60)] + ["zzz qqq €", ""]
+        vectors, zero = e.embed_batch([encode(t, VOCAB) for t in texts])
+        singles = [e.embed(t) for t in texts]
+        assert vectors.dtype == np.float64
+        np.testing.assert_allclose(vectors, [s.vector for s in singles],
+                                   rtol=0, atol=1e-12)
+        assert zero.tolist() == [s.is_zero for s in singles]
+        assert zero.any() and not zero.all()
+        assert np.all(vectors[zero] == 0.0)
+
+    def test_equal_sentences_get_equal_rows(self):
+        # ties go to the earlier sentence only if equal sentences score equally
+        e = fresh_embedder(seed=8, d=24)
+        rng = np.random.default_rng(12)
+        ids = [encode(" ".join(rng.choice(WORDS, size=5).tolist()), VOCAB)
+               for _ in range(37)]
+        for i, j in [(0, 36), (3, 4), (5, 33), (17, 18)]:
+            ids[j] = ids[i]
+        vectors, _ = e.embed_batch(ids)
+        for i, j in [(0, 36), (3, 4), (5, 33), (17, 18)]:
+            assert np.array_equal(vectors[i], vectors[j])
+
+
+def test_fixture_selections_match_the_per_sentence_reference(pipeline_run,
+                                                             fixtures_dir):
+    cfg = load_config(str(fixtures_dir / "fixture.cfg"))
+    vocab = Vocab.load(pipeline_run / "vocab.txt")
+    params, _, _ = load_checkpoint(pipeline_run / "pre.ckpt")
+    embedder = DanEmbedder.from_token_embeddings(
+        vocab, params["tok_emb"].astype(np.float64),
+        embed_dim=cfg.dan_dim or None, seed=cfg.dan_seed,
+    )
+    ex_cfg = ExtractionConfig(top_k=cfg.top_k)
+    docs = {d.doc_id: d for d in load_manifest(fixtures_dir / "filings.jsonl")}
+    with open(pipeline_run / "extracted.jsonl", encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    assert len(records) == len(docs)
+    for rec in records:
+        sentences = segment_sentences(docs[rec["doc_id"]].text)
+        scores = score_sentences(sentences, ex_cfg, embedder)
+        expect = brute_force_top_k(sentences, scores, cfg.top_k)
+        assert [s["index"] for s in rec["selected"]] == expect
+        np.testing.assert_allclose([s["score"] for s in rec["selected"]],
+                                   [scores[i] for i in expect], rtol=0, atol=1e-12)
 
 
 class TestDanEmbed:
@@ -202,6 +334,10 @@ class TestExtractTopK:
                 e = self.inner.embed(text)
                 e.vector = e.vector * self.factor
                 return e
+
+            def embed_batch(self, id_lists):
+                vectors, zero = self.inner.embed_batch(id_lists)
+                return vectors * self.factor, zero
 
         doc = ("Carbon emissions rose. Revenue was flat. Water waste fell. "
                "The office moved. Energy costs doubled.")

@@ -21,7 +21,7 @@ from esglm.tokenizer import (
     pretokenize,
     train_vocab,
 )
-from esglm.tokenizer import _surface, _word_symbols
+from esglm.tokenizer import _encode_word, _surface, _word_symbols
 
 
 def make_vocab(*extra):
@@ -219,6 +219,83 @@ class TestEncode:
         ids = encode("some untokenizable words !!", v)
         assert PAD_ID not in ids
         assert all(0 <= i < len(v) for i in ids)
+
+
+def _reference_pretokenize(text: str) -> list[str]:
+    """The per-character pretokenize that the str-method one replaced."""
+    words: list[str] = []
+    current: list[str] = []
+    for ch in text.lower():
+        if ch.isspace():
+            if current:
+                words.append("".join(current))
+                current = []
+        elif ch.isalnum() or ch == "'":
+            current.append(ch)
+        else:
+            if current:
+                words.append("".join(current))
+                current = []
+            words.append(ch)
+    if current:
+        words.append("".join(current))
+    return words
+
+
+def _reference_encode(text: str, vocab: Vocab) -> list[int]:
+    """encode without the per-vocab memo."""
+    return [i for w in _reference_pretokenize(text) for i in _encode_word(w, vocab)]
+
+
+# characters where the str methods and the regex could part from the loop:
+# underscore, apostrophe, punctuation, combining marks, other numerics,
+# unicode spaces, case mappings that change length (İ, ß) and final sigma
+TRICKY = list("aZ09'_-.,!?$%/ \t\n\r\x0b\x0c\x1c\x85\xa0\u2003\u2028\u3000"
+              "éÉßİΣσς½²٣Ⅻ€\u0301\u200b\ufeff\U0001d400\U0001f600")
+
+
+class TestPretokenizeMatchesReference:
+    @pytest.mark.parametrize("start", range(0, 0x110000, 0x10000))
+    def test_every_code_point_alone_and_in_context(self, start):
+        chars = [chr(c) for c in range(start, start + 0x10000)]
+        for ctx in ("{}", "a{}b", "'{}9"):
+            text = " ".join(ctx.format(c) for c in chars)
+            if pretokenize(text) != _reference_pretokenize(text):
+                bad = [hex(ord(c)) for c in chars if pretokenize(ctx.format(c))
+                       != _reference_pretokenize(ctx.format(c))]
+                pytest.fail(f"context {ctx!r} differs at {bad[:10]}")
+
+    @given(st.text(st.sampled_from(TRICKY) | st.characters(), max_size=80))
+    @example("Don't  stop_now! It's 3.5%--ok")
+    def test_random_text(self, text):
+        assert pretokenize(text) == _reference_pretokenize(text)
+
+
+class TestEncodeMemo:
+    VOCAB = make_vocab("don", "'", "t", "stop", "##s", "##ing", "carbon", "s",
+                       "##t", ".", "!", "3", "##5", "_")
+
+    @given(st.text(st.sampled_from(TRICKY + list("donstpicarb")), max_size=60))
+    def test_matches_memo_free_encode(self, text):
+        # VOCAB's memo persists across examples, so both cold and warm
+        # chunks are checked
+        assert encode(text, self.VOCAB) == _reference_encode(text, self.VOCAB)
+
+    def test_cold_and_warm_memo_agree(self):
+        texts = ["Don't stop!", "Stopping carbon.", "dON'T  stops_3.5",
+                 "stop stop stop", "€ carbons!!"]
+        vocab = make_vocab(*self.VOCAB.tokens[NUM_SPECIALS:])
+        cold = [encode(t, vocab) for t in texts]
+        assert vocab.pieces
+        warm = [encode(t, vocab) for t in texts]
+        assert cold == warm == [_reference_encode(t, vocab) for t in texts]
+
+    def test_memo_is_not_part_of_equality(self):
+        a, b = make_vocab("x", "##y"), make_vocab("x", "##y")
+        encode("xy xz X", a)
+        assert a.pieces and not b.pieces
+        assert a == b and repr(a) == repr(b)
+        assert a != make_vocab("x", "##z")
 
 
 class TestDecode:
