@@ -179,7 +179,7 @@ def dan_embed_batch(
     avg = np.zeros((n, embeddings.shape[1]))
     # per known-token count c, one (rows, c, d) block summed in token order
     # as a per-sentence mean is (np.add.reduceat is 4x slower, rounds otherwise)
-    for c in np.unique(counts[counts > 0]):
+    for c in set(counts.tolist()) - {0}:  # np.unique would import numpy.ma
         rows = np.flatnonzero(counts == c)
         avg[rows] = embeddings[known[starts[rows, None] + np.arange(c)]].sum(axis=1) / c
     out = gelu(avg @ dan.w1 + dan.b1) @ dan.w2 + dan.b2
