@@ -28,9 +28,9 @@ NUM_SPECIALS = len(SPECIAL_TOKENS)
 class Vocab:
     """Immutable token inventory; ids are dense 0..len-1, specials first.
 
-    pieces caches encode's ids per text chunk; equality ignores it.  Safe to
-    share across concurrent encode calls: under the GIL each dict read and
-    write is atomic, and threads racing on one chunk store equal pieces.
+    pieces caches encode's ids per distinct text chunk and grows with them;
+    equality ignores it.  Safe to share across concurrent encode calls: each
+    dict read and write is atomic under the GIL, and racing writes are equal.
     """
 
     tokens: tuple[str, ...]
