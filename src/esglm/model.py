@@ -197,9 +197,11 @@ def gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
-    m = np.max(x, axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    """Softmax over the last axis, in place: x becomes the result."""
+    x -= np.max(x, axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= np.sum(x, axis=-1, keepdims=True)
+    return x
 
 
 def _layernorm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
@@ -271,7 +273,7 @@ def encoder_forward(
         raise InvalidConfig("train-mode forward with dropout needs an rng")
 
     cache: dict = {"ids": ids, "mask": attention_mask, "layers": [], "drop": {}}
-    key_ok = (attention_mask == 1)[:, None, None, :]
+    key_pad = (attention_mask != 1)[:, None, None, :]
     scale = 1.0 / math.sqrt(config.head_dim)
 
     h = params["tok_emb"][ids] + params["pos_emb"][:s][None, :, :]
@@ -280,17 +282,20 @@ def encoder_forward(
 
     for i in range(config.num_layers):
         p = f"layers.{i}."
-        lc: dict = {"x": h}
-        q = _split_heads(h @ params[p + "attn.wq"] + params[p + "attn.bq"], config.num_heads)
-        k = _split_heads(h @ params[p + "attn.wk"] + params[p + "attn.bk"], config.num_heads)
-        v = _split_heads(h @ params[p + "attn.wv"] + params[p + "attn.bv"], config.num_heads)
-        scores = np.where(key_ok, (q @ k.swapaxes(-1, -2)) * scale, -np.inf)
-        probs = _softmax(scores)
+        x = h
+        q = _split_heads(x @ params[p + "attn.wq"] + params[p + "attn.bq"], config.num_heads)
+        k = _split_heads(x @ params[p + "attn.wk"] + params[p + "attn.bk"], config.num_heads)
+        v = _split_heads(x @ params[p + "attn.wv"] + params[p + "attn.bv"], config.num_heads)
+        # scores, masked scores and probs share one (B, H, S, S) buffer
+        probs = q @ k.swapaxes(-1, -2)
+        probs *= scale
+        np.copyto(probs, -np.inf, where=key_pad)
+        _softmax(probs)
         ctx = _merge_heads(probs @ v)
         attn = ctx @ params[p + "attn.wo"] + params[p + "attn.bo"]
         attn = _dropout(attn, drop, rng, cache["drop"], f"attn{i}")
         h1, ln1_cache = _layernorm(
-            h + attn, params[p + "ln1.gain"], params[p + "ln1.bias"]
+            x + attn, params[p + "ln1.gain"], params[p + "ln1.bias"]
         )
         f1 = h1 @ params[p + "ffn.w1"] + params[p + "ffn.b1"]
         a, t = gelu(f1, with_tanh=True)
@@ -299,9 +304,10 @@ def encoder_forward(
         h, ln2_cache = _layernorm(
             h1 + f2, params[p + "ln2.gain"], params[p + "ln2.bias"]
         )
-        lc.update(q=q, k=k, v=v, probs=probs, ctx=ctx, ln1=ln1_cache,
-                  h1=h1, f1=f1, a=a, t=t, ln2=ln2_cache)
-        cache["layers"].append(lc)
+        if want_cache:  # an eval forward keeps no layer's arrays
+            cache["layers"].append(dict(
+                x=x, q=q, k=k, v=v, probs=probs, ctx=ctx, ln1=ln1_cache,
+                h1=h1, f1=f1, a=a, t=t, ln2=ln2_cache))
 
     if want_cache:
         return h, cache
@@ -352,11 +358,12 @@ def encoder_backward(
         grads[p + "attn.bo"] += dattn.sum(axis=(0, 1))
         dctx = _split_heads(dattn @ params[p + "attn.wo"].T, config.num_heads)
 
-        dprobs = dctx @ lc["v"].swapaxes(-1, -2)
-        dv = lc["probs"].swapaxes(-1, -2) @ dctx
-        dscores = lc["probs"] * (
-            dprobs - np.sum(dprobs * lc["probs"], axis=-1, keepdims=True)
-        )
+        probs = lc["probs"]
+        dv = probs.swapaxes(-1, -2) @ dctx
+        # dscores = probs * (dprobs - rowsum), built in the dprobs buffer
+        dscores = dctx @ lc["v"].swapaxes(-1, -2)
+        dscores -= np.sum(dscores * probs, axis=-1, keepdims=True)
+        dscores *= probs
         dq = (dscores @ lc["k"]) * scale
         dk = (dscores.swapaxes(-1, -2) @ lc["q"]) * scale
 
@@ -368,6 +375,8 @@ def encoder_backward(
             grads[p + f"attn.b{m}"] += dm_m.sum(axis=(0, 1))
             dx = dx + dm_m @ params[p + f"attn.w{m}"].T
         dh = dx
+        # names carried to the next iteration would keep this layer's arrays
+        del dscores, dq, dk, dv, dctx, dm, dm_m
 
     if drop > 0.0:
         dh = dh * cache["drop"]["emb"] / (1.0 - drop)
@@ -472,6 +481,7 @@ def compute_gradients(
         # tied projection: the embedding matrix also collects the head grad
         grads["tok_emb"] += dlogits.T @ picked
         grads["mlm_bias"] += dlogits.sum(axis=0)
+        del picked, logits, dlogits  # not needed by the encoder backward
     else:
         cls_h = hidden[:, 0, :]
         pooled = np.tanh(cls_h @ params["pooler.w"] + params["pooler.b"])

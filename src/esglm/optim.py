@@ -1,14 +1,14 @@
 """Adam with bias correction, as whole-buffer operations on ParameterSets.
 
-A step computes new parameters and moments, checks them, then writes them
-in place (the training loop is the single writer): a failed step changes
-nothing.
+A step computes new parameters and moments into work buffers that the
+state keeps across steps, checks them, then writes them in place (the
+training loop is the single writer): a failed step changes nothing.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +21,12 @@ class OptimizerState:
     m: ParameterSet
     v: ParameterSet
     t: int = 0
+    # new m, new v, the update and the new theta are computed here, so a
+    # step allocates no parameter-sized array
+    work: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.work = tuple(np.empty_like(self.m.flat) for _ in range(4))
 
     @classmethod
     def for_params(cls, params: ParameterSet) -> "OptimizerState":
@@ -46,14 +52,28 @@ def adam_step(
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
     g = grads.flat
+    m, v, update, theta = state.work
     with np.errstate(invalid="ignore"):  # finiteness is checked below
-        m = state.m.flat * b1
-        m += (1.0 - b1) * g
-        v = state.v.flat * b2
-        v += (1.0 - b2) * g * g
-        update = tc.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + tc.adam_epsilon)
-        theta = params.flat - update
-    finite = np.isfinite(theta) & np.isfinite(m) & np.isfinite(v)
+        # the operations and their order are those of
+        #   m = m * b1 + (1 - b1) * g;  v = v * b2 + (1 - b2) * g * g
+        #   theta - lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        np.multiply(state.m.flat, b1, out=m)
+        np.multiply(g, 1.0 - b1, out=update)
+        m += update
+        np.multiply(state.v.flat, b2, out=v)
+        np.multiply(g, 1.0 - b2, out=update)
+        update *= g
+        v += update
+        np.divide(v, bc2, out=theta)
+        np.sqrt(theta, out=theta)
+        theta += tc.adam_epsilon
+        np.divide(m, bc1, out=update)
+        update *= tc.learning_rate
+        update /= theta
+        np.subtract(params.flat, update, out=theta)
+    finite = np.isfinite(theta)
+    finite &= np.isfinite(m)
+    finite &= np.isfinite(v)
     if not finite.all():
         bad = int(np.argmin(finite))  # the first non-finite index
         for name, shape in params.layout:

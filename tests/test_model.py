@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,16 @@ from esglm.model import (
     parameter_shapes,
     trim_batch,
 )
-from esglm.model import _GELU_A, _GELU_C
+from esglm import model
+from esglm.model import (
+    _GELU_A,
+    _GELU_C,
+    _dropout,
+    _layernorm,
+    _layernorm_backward,
+    _merge_heads,
+    _split_heads,
+)
 from esglm.tokenizer import prepare_input
 
 TINY = ModelConfig(
@@ -512,3 +522,193 @@ class TestTrimBatch:
             (ids, mask, targets), params, TINY, objective)
         assert loss == pytest.approx(want_loss, rel=1e-12)
         assert_same_gradients(grads, want)
+
+
+def _reference_forward(ids, attention_mask, params, config, train=False,
+                       rng=None, want_cache=False):
+    """encoder_forward with the attention written out of place.
+
+    Scores come from np.where, the softmax makes three temporaries and
+    every layer's arrays are cached: the expressions the in-place forward
+    replaced, kept to pin its bits.
+    """
+    drop = config.dropout_rate if train else 0.0
+    cache = {"ids": ids, "mask": attention_mask, "layers": [], "drop": {}}
+    key_ok = (attention_mask == 1)[:, None, None, :]
+    scale = 1.0 / math.sqrt(config.head_dim)
+    h = params["tok_emb"][ids] + params["pos_emb"][: ids.shape[1]][None, :, :]
+    h = _dropout(h, drop, rng, cache["drop"], "emb")
+    for i in range(config.num_layers):
+        p = f"layers.{i}."
+        heads = [
+            _split_heads(h @ params[p + f"attn.w{m}"] + params[p + f"attn.b{m}"],
+                         config.num_heads)
+            for m in "qkv"
+        ]
+        q, k, v = heads
+        scores = np.where(key_ok, (q @ k.swapaxes(-1, -2)) * scale, -np.inf)
+        e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+        probs = e / np.sum(e, axis=-1, keepdims=True)
+        ctx = _merge_heads(probs @ v)
+        attn = ctx @ params[p + "attn.wo"] + params[p + "attn.bo"]
+        attn = _dropout(attn, drop, rng, cache["drop"], f"attn{i}")
+        h1, ln1 = _layernorm(h + attn, params[p + "ln1.gain"], params[p + "ln1.bias"])
+        f1 = h1 @ params[p + "ffn.w1"] + params[p + "ffn.b1"]
+        a, t = gelu(f1, with_tanh=True)
+        f2 = a @ params[p + "ffn.w2"] + params[p + "ffn.b2"]
+        f2 = _dropout(f2, drop, rng, cache["drop"], f"ffn{i}")
+        x = h
+        h, ln2 = _layernorm(h1 + f2, params[p + "ln2.gain"], params[p + "ln2.bias"])
+        cache["layers"].append(dict(x=x, q=q, k=k, v=v, probs=probs, ctx=ctx,
+                                    ln1=ln1, h1=h1, f1=f1, a=a, t=t, ln2=ln2))
+    return (h, cache) if want_cache else h
+
+
+def _reference_backward(dh, cache, params, config, grads, train=False):
+    """encoder_backward with dscores built out of place."""
+    drop = config.dropout_rate if train else 0.0
+    scale = 1.0 / math.sqrt(config.head_dim)
+
+    def flat(x):
+        return x.reshape(-1, x.shape[-1])
+
+    def undrop(dx, key):
+        return dx * cache["drop"][key] / (1.0 - drop) if drop > 0.0 else dx
+
+    for i in reversed(range(config.num_layers)):
+        p = f"layers.{i}."
+        lc = cache["layers"][i]
+        dres2, dg2, db2 = _layernorm_backward(dh, lc["ln2"], params[p + "ln2.gain"])
+        grads[p + "ln2.gain"] += dg2
+        grads[p + "ln2.bias"] += db2
+        df2 = undrop(dres2, f"ffn{i}")
+        grads[p + "ffn.w2"] += flat(lc["a"]).T @ flat(df2)
+        grads[p + "ffn.b2"] += df2.sum(axis=(0, 1))
+        df1 = (df2 @ params[p + "ffn.w2"].T) * gelu_grad(lc["f1"], lc["t"])
+        grads[p + "ffn.w1"] += flat(lc["h1"]).T @ flat(df1)
+        grads[p + "ffn.b1"] += df1.sum(axis=(0, 1))
+        dh1 = dres2 + df1 @ params[p + "ffn.w1"].T
+        dres1, dg1, db1 = _layernorm_backward(dh1, lc["ln1"], params[p + "ln1.gain"])
+        grads[p + "ln1.gain"] += dg1
+        grads[p + "ln1.bias"] += db1
+        dattn = undrop(dres1, f"attn{i}")
+        grads[p + "attn.wo"] += flat(lc["ctx"]).T @ flat(dattn)
+        grads[p + "attn.bo"] += dattn.sum(axis=(0, 1))
+        dctx = _split_heads(dattn @ params[p + "attn.wo"].T, config.num_heads)
+        dprobs = dctx @ lc["v"].swapaxes(-1, -2)
+        dv = lc["probs"].swapaxes(-1, -2) @ dctx
+        dscores = lc["probs"] * (
+            dprobs - np.sum(dprobs * lc["probs"], axis=-1, keepdims=True)
+        )
+        dq = (dscores @ lc["k"]) * scale
+        dk = (dscores.swapaxes(-1, -2) @ lc["q"]) * scale
+        dx = dres1
+        for m, dm in (("q", dq), ("k", dk), ("v", dv)):
+            dm_m = _merge_heads(dm)
+            grads[p + f"attn.w{m}"] += flat(lc["x"]).T @ flat(dm_m)
+            grads[p + f"attn.b{m}"] += dm_m.sum(axis=(0, 1))
+            dx = dx + dm_m @ params[p + f"attn.w{m}"].T
+        dh = dx
+    dh = undrop(dh, "emb")
+    np.add.at(grads["tok_emb"], cache["ids"].reshape(-1),
+              dh.reshape(-1, config.hidden_dim))
+    grads["pos_emb"][: cache["ids"].shape[1]] += dh.sum(axis=0)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint32)
+
+
+DROP = ModelConfig(vocab_size=40, hidden_dim=16, num_layers=2, num_heads=2,
+                   ffn_dim=32, max_seq_len=24, dropout_rate=0.1)
+
+
+class TestInPlaceAttention:
+    """The in-place attention keeps every float32 bit of the reference."""
+
+    def batch(self, objective):
+        rng = np.random.default_rng(21)
+        inputs = [prepare_input(rng.integers(5, DROP.vocab_size, size=n).tolist(),
+                                max_seq_len=DROP.max_seq_len) for n in (22, 9, 4)]
+        ids, mask = batch_arrays(inputs)
+        if objective == "mlm":
+            targets = np.where((mask == 1) & (rng.random(ids.shape) < 0.3),
+                               ids, IGNORE_INDEX)
+            targets[0, 1] = ids[0, 1]
+        else:
+            targets = np.array([1, 0, 1])
+        return ids, mask, targets
+
+    def test_forward_matches_the_reference(self):
+        params = spread_params(DROP, 5, dtype=np.float32)
+        ids, mask, _ = self.batch("mlm")
+        h, cache = encoder_forward(ids, mask, params, DROP, train=True,
+                                   rng=np.random.default_rng(3), want_cache=True)
+        want_h, want = _reference_forward(ids, mask, params, DROP, train=True,
+                                          rng=np.random.default_rng(3),
+                                          want_cache=True)
+        assert h.dtype == np.float32
+        np.testing.assert_array_equal(_bits(h), _bits(want_h))
+        for got_lc, want_lc in zip(cache["layers"], want["layers"], strict=True):
+            np.testing.assert_array_equal(_bits(got_lc["probs"]),
+                                          _bits(want_lc["probs"]))
+        np.testing.assert_array_equal(
+            _bits(encoder_forward(ids, mask, params, DROP)),
+            _bits(_reference_forward(ids, mask, params, DROP)))
+
+    @pytest.mark.parametrize("objective", ["mlm", "classify"])
+    def test_gradients_match_the_reference(self, objective, monkeypatch):
+        params = spread_params(DROP, 6, dtype=np.float32)
+        batch = self.batch(objective)
+        loss, grads = compute_gradients(batch, params, DROP, objective,
+                                        train=True, rng=np.random.default_rng(4))
+        monkeypatch.setattr(model, "encoder_forward", _reference_forward)
+        monkeypatch.setattr(model, "encoder_backward", _reference_backward)
+        want_loss, want = compute_gradients(batch, params, DROP, objective,
+                                            train=True,
+                                            rng=np.random.default_rng(4))
+        assert loss == want_loss
+        assert grads.flat.dtype == np.float32
+        for name in want:
+            np.testing.assert_array_equal(_bits(grads[name]), _bits(want[name]),
+                                          err_msg=name)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that fn allocates above what is traced when it starts."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+WIDE = ModelConfig(vocab_size=100, hidden_dim=32, num_layers=2, num_heads=2,
+                   ffn_dim=64, max_seq_len=512, dropout_rate=0.1)
+
+
+class TestMemory:
+    """Peaks in units of one (B, H, S, S) float32 score array."""
+
+    B = 8
+    UNIT = B * WIDE.num_heads * WIDE.max_seq_len**2 * 4
+
+    def batch(self):
+        rng = np.random.default_rng(0)
+        s = WIDE.max_seq_len
+        ids = rng.integers(5, WIDE.vocab_size, size=(self.B, s))
+        mask = np.ones_like(ids)
+        for row, n in enumerate(rng.integers(16, s, size=self.B - 1), start=1):
+            mask[row, n:] = 0  # row 0 stays full width, so nothing trims
+        ids[mask == 0] = 0
+        targets = np.where((mask == 1) & (rng.random(ids.shape) < 0.15),
+                           ids, IGNORE_INDEX)
+        return ids, mask, targets
+
+    def test_eval_forward_keeps_no_layer_arrays(self):
+        params = init_params(WIDE, seed=0)
+        ids, mask, _ = self.batch()
+        peak = traced_peak(lambda: encoder_forward(ids, mask, params, WIDE))
+        assert peak <= 3.0 * self.UNIT, peak / self.UNIT

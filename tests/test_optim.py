@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -209,3 +211,30 @@ class TestParameterSet:
                 assert np.shares_memory(other[name], other.flat)
         np.testing.assert_array_equal(params.copy().flat, params.flat)
         assert not params.zeros_like().flat.any()
+
+
+def test_step_after_the_first_allocates_under_one_buffer():
+    # ~25,000 parameters, so fixed per-call costs do not dominate
+    params = init_params(ModelConfig(vocab_size=200, hidden_dim=32, num_layers=2,
+                                     num_heads=2, ffn_dim=64, max_seq_len=128),
+                         seed=5)
+    state = OptimizerState.for_params(params)
+    tc = TrainConfig(learning_rate=1e-3)
+    grads = mixed_gradients(params, np.random.default_rng(9))
+    adam_step(params, grads, state, tc)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        adam_step(params, grads, state, tc)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= params.flat.nbytes, peak / params.flat.nbytes
+
+
+def test_work_buffers_belong_to_one_state_and_stay_out_of_repr():
+    params = init_params(CFG, seed=0)
+    a = OptimizerState.for_params(params)
+    b = OptimizerState.for_params(params)
+    assert not any(np.shares_memory(x, y) for x in a.work for y in b.work)
+    assert "work" not in repr(a)
