@@ -309,9 +309,7 @@ def encoder_forward(
                 x=x, q=q, k=k, v=v, probs=probs, ctx=ctx, ln1=ln1_cache,
                 h1=h1, f1=f1, a=a, t=t, ln2=ln2_cache))
 
-    if want_cache:
-        return h, cache
-    return h
+    return (h, cache) if want_cache else h
 
 
 def encoder_backward(
@@ -325,10 +323,12 @@ def encoder_backward(
     """Accumulate d(loss)/d(param) into grads, given d(loss)/d(hidden)."""
     drop = config.dropout_rate if train else 0.0
     scale = 1.0 / math.sqrt(config.head_dim)
-    d = config.hidden_dim
 
     def flat(x):
         return x.reshape(-1, x.shape[-1])
+
+    def undrop(dx, key):  # the backward of _dropout
+        return dx * cache["drop"][key] / (1.0 - drop) if drop > 0.0 else dx
 
     for i in reversed(range(config.num_layers)):
         p = f"layers.{i}."
@@ -337,9 +337,7 @@ def encoder_backward(
         grads[p + "ln2.gain"] += dg2
         grads[p + "ln2.bias"] += db2
 
-        df2 = dres2
-        if drop > 0.0:
-            df2 = df2 * cache["drop"][f"ffn{i}"] / (1.0 - drop)
+        df2 = undrop(dres2, f"ffn{i}")
         grads[p + "ffn.w2"] += flat(lc["a"]).T @ flat(df2)
         grads[p + "ffn.b2"] += df2.sum(axis=(0, 1))
         df1 = (df2 @ params[p + "ffn.w2"].T) * gelu_grad(lc["f1"], lc["t"])
@@ -351,39 +349,33 @@ def encoder_backward(
         grads[p + "ln1.gain"] += dg1
         grads[p + "ln1.bias"] += db1
 
-        dattn = dres1
-        if drop > 0.0:
-            dattn = dattn * cache["drop"][f"attn{i}"] / (1.0 - drop)
+        dattn = undrop(dres1, f"attn{i}")
         grads[p + "attn.wo"] += flat(lc["ctx"]).T @ flat(dattn)
         grads[p + "attn.bo"] += dattn.sum(axis=(0, 1))
         dctx = _split_heads(dattn @ params[p + "attn.wo"].T, config.num_heads)
 
-        probs = lc["probs"]
-        dv = probs.swapaxes(-1, -2) @ dctx
-        # dscores = probs * (dprobs - rowsum), built in the dprobs buffer
+        dv = lc["probs"].swapaxes(-1, -2) @ dctx
+        # dscores = probs * (dprobs - rowsum), built in the dprobs buffer; as
+        # ctx = probs @ v, rowsum = sum_j dprobs * probs = dctx . ctx
+        rowsum = np.sum(dctx * _split_heads(lc["ctx"], config.num_heads),
+                        axis=-1, keepdims=True)
         dscores = dctx @ lc["v"].swapaxes(-1, -2)
-        dscores -= np.sum(dscores * probs, axis=-1, keepdims=True)
-        dscores *= probs
+        dscores -= rowsum
+        dscores *= lc["probs"]
         dq = (dscores @ lc["k"]) * scale
         dk = (dscores.swapaxes(-1, -2) @ lc["q"]) * scale
 
-        dx = dres1
-        x = lc["x"]
+        dh = dres1
         for m, dm in (("q", dq), ("k", dk), ("v", dv)):
             dm_m = _merge_heads(dm)
-            grads[p + f"attn.w{m}"] += flat(x).T @ flat(dm_m)
+            grads[p + f"attn.w{m}"] += flat(lc["x"]).T @ flat(dm_m)
             grads[p + f"attn.b{m}"] += dm_m.sum(axis=(0, 1))
-            dx = dx + dm_m @ params[p + f"attn.w{m}"].T
-        dh = dx
-        # names carried to the next iteration would keep this layer's arrays
-        del dscores, dq, dk, dv, dctx, dm, dm_m
+            dh = dh + dm_m @ params[p + f"attn.w{m}"].T
+        del dscores, dq, dk, dv, dctx, dm, dm_m  # else the next layer keeps them
 
-    if drop > 0.0:
-        dh = dh * cache["drop"]["emb"] / (1.0 - drop)
-    ids = cache["ids"]
-    s = ids.shape[1]
-    np.add.at(grads["tok_emb"], ids.reshape(-1), dh.reshape(-1, d))
-    grads["pos_emb"][:s] += dh.sum(axis=0)
+    dh = undrop(dh, "emb")
+    np.add.at(grads["tok_emb"], cache["ids"].reshape(-1), flat(dh))
+    grads["pos_emb"][: dh.shape[1]] += dh.sum(axis=0)
 
 
 def forward_mlm(hidden: np.ndarray, params: ParameterSet) -> np.ndarray:

@@ -21,9 +21,7 @@ class OptimizerState:
     m: ParameterSet
     v: ParameterSet
     t: int = 0
-    # new m, new v, the update and the new theta are computed here, so a
-    # step allocates no parameter-sized array
-    work: tuple = field(init=False, repr=False, compare=False)
+    work: tuple = field(init=False, repr=False, compare=False)  # m, v, update, theta
 
     def __post_init__(self):
         self.work = tuple(np.empty_like(self.m.flat) for _ in range(4))
@@ -54,26 +52,17 @@ def adam_step(
     g = grads.flat
     m, v, update, theta = state.work
     with np.errstate(invalid="ignore"):  # finiteness is checked below
-        # the operations and their order are those of
-        #   m = m * b1 + (1 - b1) * g;  v = v * b2 + (1 - b2) * g * g
-        #   theta - lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        # the out-of-place formulas' operations, in their order and rounding
         np.multiply(state.m.flat, b1, out=m)
-        np.multiply(g, 1.0 - b1, out=update)
-        m += update
+        m += np.multiply(g, 1.0 - b1, out=update)
         np.multiply(state.v.flat, b2, out=v)
-        np.multiply(g, 1.0 - b2, out=update)
-        update *= g
-        v += update
-        np.divide(v, bc2, out=theta)
-        np.sqrt(theta, out=theta)
+        v += np.multiply(np.multiply(g, 1.0 - b2, out=update), g, out=update)
+        np.sqrt(np.divide(v, bc2, out=theta), out=theta)
         theta += tc.adam_epsilon
-        np.divide(m, bc1, out=update)
-        update *= tc.learning_rate
+        np.multiply(np.divide(m, bc1, out=update), tc.learning_rate, out=update)
         update /= theta
         np.subtract(params.flat, update, out=theta)
-    finite = np.isfinite(theta)
-    finite &= np.isfinite(m)
-    finite &= np.isfinite(v)
+    finite = np.isfinite(theta) & np.isfinite(m) & np.isfinite(v)
     if not finite.all():
         bad = int(np.argmin(finite))  # the first non-finite index
         for name, shape in params.layout:

@@ -597,9 +597,10 @@ def _reference_backward(dh, cache, params, config, grads, train=False):
         dctx = _split_heads(dattn @ params[p + "attn.wo"].T, config.num_heads)
         dprobs = dctx @ lc["v"].swapaxes(-1, -2)
         dv = lc["probs"].swapaxes(-1, -2) @ dctx
-        dscores = lc["probs"] * (
-            dprobs - np.sum(dprobs * lc["probs"], axis=-1, keepdims=True)
-        )
+        # the row sums are the code's; see test_row_sum_from_head_outputs
+        rowsum = np.sum(dctx * _split_heads(lc["ctx"], config.num_heads),
+                        axis=-1, keepdims=True)
+        dscores = lc["probs"] * (dprobs - rowsum)
         dq = (dscores @ lc["k"]) * scale
         dk = (dscores.swapaxes(-1, -2) @ lc["q"]) * scale
         dx = dres1
@@ -638,6 +639,23 @@ class TestInPlaceAttention:
         else:
             targets = np.array([1, 0, 1])
         return ids, mask, targets
+
+    def test_row_sum_from_head_outputs(self):
+        """sum_j dprobs_ij probs_ij == dctx_i . ctx_i, PAD keys included."""
+        rng = np.random.default_rng(22)
+        b, h, s, dh = 3, 2, 10, 4
+        key_pad = (rng.random((b, 1, 1, s)) < 0.3)
+        key_pad[..., 0] = False
+        probs = rng.normal(size=(b, h, s, s)) * 3.0
+        np.copyto(probs, -np.inf, where=key_pad)
+        model._softmax(probs)
+        v = rng.normal(size=(b, h, s, dh))
+        dctx = rng.normal(size=(b, h, s, dh))
+        ctx = _merge_heads(probs @ v)
+        dprobs = dctx @ v.swapaxes(-1, -2)
+        np.testing.assert_allclose(
+            np.sum(dctx * _split_heads(ctx, h), axis=-1),
+            np.sum(dprobs * probs, axis=-1), rtol=0, atol=1e-12)
 
     def test_forward_matches_the_reference(self):
         params = spread_params(DROP, 5, dtype=np.float32)
@@ -712,3 +730,11 @@ class TestMemory:
         ids, mask, _ = self.batch()
         peak = traced_peak(lambda: encoder_forward(ids, mask, params, WIDE))
         assert peak <= 3.0 * self.UNIT, peak / self.UNIT
+
+    def test_mlm_step_keeps_three_score_arrays(self):
+        # at the peak: both layers' cached probs and one dscores buffer
+        params = init_params(WIDE, seed=0)
+        batch = self.batch()
+        peak = traced_peak(lambda: compute_gradients(
+            batch, params, WIDE, "mlm", train=True, rng=np.random.default_rng(1)))
+        assert peak <= 5.0 * self.UNIT, peak / self.UNIT
