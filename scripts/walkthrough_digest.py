@@ -4,6 +4,9 @@
 Runs the walkthrough in-process through `esglm.cli.main` on the shipped
 fixtures, writing under OUT, and prints one `sha256  relpath` line per file
 written plus one `sha256  stdout/<step>` line per stage's standard output.
+A last `sha256  replication/seed0` line digests the `repr` of the fresh and
+adapted test accuracies and the pretraining trace of
+`run_replication_arm(SynthSpec(), 0)`, which trains the encoder in-process.
 Every path handed to the CLI is relative to OUT, so no absolute path ends
 up in an artifact and two runs into different directories can be diffed.
 esglm is imported from PYTHONPATH, so the same script digests any checkout:
@@ -70,6 +73,14 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def replication_digest() -> str:
+    from esglm.synth import SynthSpec, run_replication_arm
+
+    r = run_replication_arm(SynthSpec(), 0)
+    result = (r.fresh_test_accuracy, r.adapted_test_accuracy, r.pretrain_trace)
+    return sha256(repr(result).encode())
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -96,6 +107,7 @@ def main(argv: list[str]) -> int:
         lines.append(f"{sha256(captured.getvalue().encode())}  stdout/{step}")
     for path in sorted(p for p in Path("out").rglob("*") if p.is_file()):
         lines.append(f"{sha256(path.read_bytes())}  {path.as_posix()}")
+    lines.append(f"{replication_digest()}  replication/seed0")
     print("\n".join(lines))
     return 0
 

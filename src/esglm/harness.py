@@ -30,7 +30,7 @@ from .model import (
     forward_classify,
     trim_batch,
 )
-from .optim import OptimizerState, adam_step
+from .optim import adam_step, run_epochs
 
 MODEL_ORDER = ("common_class", "naive_bayes", "base_lm", "domain_lm")
 
@@ -94,7 +94,7 @@ def predict_labels(
     for start in range(0, len(examples), _EVAL_BATCH):
         chunk = examples[start : start + _EVAL_BATCH]
         ids, mask = _example_batch(chunk)
-        hidden = encoder_forward(ids, mask, params, config, train=False)
+        hidden = encoder_forward(ids, mask, params, config)
         logits = forward_classify(hidden, params)
         preds.append(np.argmax(logits, axis=-1))
     return np.concatenate(preds)
@@ -190,22 +190,15 @@ def run_finetune(
     check_inputs(config, splits)
 
     labels = np.array([e.label_index(task) for e in train])
-    rng = np.random.default_rng(tc.seed)
-    state = OptimizerState.for_params(params)
-    trace: list[float] = []
-    for _ in range(tc.epochs):
-        order = rng.permutation(len(train))
-        losses = []
-        for start in range(0, len(train), tc.batch_size):
-            take = order[start : start + tc.batch_size]
-            ids, mask = _example_batch([train[i] for i in take])
-            loss, grads = compute_gradients(
-                (ids, mask, labels[take]), params, config, "classify",
-                train=config.dropout_rate > 0.0, rng=rng,
-            )
-            adam_step(params, grads, state, tc)
-            losses.append(loss)
-        trace.append(float(np.mean(losses)))
+
+    def step(take, rng, state):
+        ids, mask = _example_batch([train[i] for i in take])
+        loss, grads = compute_gradients((ids, mask, labels[take]), params,
+                                        config, "classify", rng=rng)
+        adam_step(params, grads, state, tc)
+        return loss, grads
+
+    trace = run_epochs(len(train), params, tc, step)
 
     echo = {
         "learning_rate": tc.learning_rate, "adam_epsilon": tc.adam_epsilon,

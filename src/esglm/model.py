@@ -236,7 +236,7 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 
 
 def _dropout(x, rate, rng, cache_slot, key):
-    if rate <= 0.0 or rng is None:
+    if rate <= 0.0:
         return x
     keep = rng.random(x.shape) >= rate
     cache_slot[key] = keep
@@ -248,7 +248,6 @@ def encoder_forward(
     attention_mask: np.ndarray,
     params: ParameterSet,
     config: ModelConfig,
-    train: bool = False,
     rng: np.random.Generator | None = None,
     want_cache: bool = False,
 ):
@@ -256,7 +255,8 @@ def encoder_forward(
 
     Sequences shorter than max_seq_len are allowed; position embeddings
     are sliced.  PAD keys receive additive -inf before the softmax, so
-    real positions are unaffected by padding length.
+    real positions are unaffected by padding length.  Given an rng, the
+    forward is in train mode and applies dropout; without one it is eval.
     """
     ids = np.asarray(ids)
     attention_mask = np.asarray(attention_mask)
@@ -268,9 +268,7 @@ def encoder_forward(
     if s > config.max_seq_len:
         raise ShapeError(f"sequence length {s} > max_seq_len {config.max_seq_len}")
 
-    drop = config.dropout_rate if train else 0.0
-    if train and drop > 0.0 and rng is None:
-        raise InvalidConfig("train-mode forward with dropout needs an rng")
+    drop = config.dropout_rate if rng is not None else 0.0
 
     cache: dict = {"ids": ids, "mask": attention_mask, "layers": [], "drop": {}}
     key_pad = (attention_mask != 1)[:, None, None, :]
@@ -308,6 +306,7 @@ def encoder_forward(
             cache["layers"].append(dict(
                 x=x, q=q, k=k, v=v, probs=probs, ctx=ctx, ln1=ln1_cache,
                 h1=h1, f1=f1, a=a, t=t, ln2=ln2_cache))
+        del probs  # else it stays alive while the next layer's is built
 
     return (h, cache) if want_cache else h
 
@@ -318,17 +317,16 @@ def encoder_backward(
     params: ParameterSet,
     config: ModelConfig,
     grads: ParameterSet,
-    train: bool = False,
 ) -> None:
     """Accumulate d(loss)/d(param) into grads, given d(loss)/d(hidden)."""
-    drop = config.dropout_rate if train else 0.0
     scale = 1.0 / math.sqrt(config.head_dim)
 
     def flat(x):
         return x.reshape(-1, x.shape[-1])
 
-    def undrop(dx, key):  # the backward of _dropout
-        return dx * cache["drop"][key] / (1.0 - drop) if drop > 0.0 else dx
+    def undrop(dx, key):  # the backward of _dropout, where it kept a mask
+        keep = cache["drop"].get(key)
+        return dx if keep is None else dx * keep / (1.0 - config.dropout_rate)
 
     for i in reversed(range(config.num_layers)):
         p = f"layers.{i}."
@@ -442,7 +440,6 @@ def compute_gradients(
     params: ParameterSet,
     config: ModelConfig,
     objective: str,
-    train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, ParameterSet]:
     """Exact reverse-mode gradients of the scalar loss for one batch.
@@ -451,7 +448,8 @@ def compute_gradients(
     targets with IGNORE_INDEX sentinels for "mlm", shaped like ids (the
     vocabulary head runs only where a target is set), per-example class
     labels for "classify".  Gradients of parameters unused by the objective are
-    zero.  Returns (loss, grads) with grads mirroring the parameter shapes.
+    zero; an rng puts the forward in train mode, as in encoder_forward.
+    Returns (loss, grads) with grads mirroring the parameter shapes.
     """
     if objective not in ("mlm", "classify"):
         raise InvalidConfig(f"unknown objective {objective!r}")
@@ -459,7 +457,7 @@ def compute_gradients(
     if objective == "mlm" and targets.shape != ids.shape:
         raise ShapeError(f"mlm targets {targets.shape} != ids {ids.shape}")
     hidden, cache = encoder_forward(
-        ids, mask, params, config, train=train, rng=rng, want_cache=True
+        ids, mask, params, config, rng=rng, want_cache=True
     )
     grads = params.zeros_like()
     dh = np.zeros_like(hidden)
@@ -489,7 +487,7 @@ def compute_gradients(
 
     if not np.isfinite(loss):
         raise NumericError(f"non-finite loss {loss}")
-    encoder_backward(dh, cache, params, config, grads, train=train)
+    encoder_backward(dh, cache, params, config, grads)
     return loss, grads
 
 

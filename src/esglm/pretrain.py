@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import read_text
-from .errors import EmptyBatch, InvalidConfig, InvalidInput
+from .errors import InvalidConfig, InvalidInput
 from .model import (
     IGNORE_INDEX,
     ModelConfig,
@@ -23,7 +23,7 @@ from .model import (
     compute_gradients,
     trim_batch,
 )
-from .optim import OptimizerState, adam_step
+from .optim import adam_step, run_epochs
 from .tokenizer import (
     CLS_ID,
     MASK_ID,
@@ -148,28 +148,17 @@ def run_pretraining(
     if not windows:
         raise InvalidInput("corpus produced no training windows")
 
-    rng = np.random.default_rng(tc.seed)
-    state = OptimizerState.for_params(params)
-    trace: list[float] = []
-    for epoch in range(1, tc.epochs + 1):
-        order = rng.permutation(len(windows))
-        losses: list[float] = []
-        for start in range(0, len(windows), tc.batch_size):
-            chunk = [windows[i] for i in order[start : start + tc.batch_size]]
-            mb = mask_batch(chunk, vocab, mc, rng)
-            if not mb.selection_mask.any():
-                continue  # nothing to predict in this batch
-            loss, grads = compute_gradients(
-                trim_batch(mb.input_ids, mb.attention_mask, mb.targets),
-                params, config, "mlm",
-                train=config.dropout_rate > 0.0, rng=rng,
-            )
-            adam_step(params, grads, state, tc)
-            losses.append(loss)
-        if not losses:
-            raise EmptyBatch(
-                f"pretraining epoch {epoch}: no batch selected a position "
-                f"to predict (mask_rate {mc.mask_rate})"
-            )
-        trace.append(float(np.mean(losses)))
-    return params, trace
+    def step(take, rng, state):
+        mb = mask_batch([windows[i] for i in take], vocab, mc, rng)
+        if not mb.selection_mask.any():
+            return None  # nothing to predict in this batch
+        batch = trim_batch(mb.input_ids, mb.attention_mask, mb.targets)
+        loss, grads = compute_gradients(batch, params, config, "mlm", rng=rng)
+        adam_step(params, grads, state, tc)
+        return loss, grads
+
+    return params, run_epochs(
+        len(windows), params, tc, step,
+        "pretraining epoch {epoch}: no batch selected a position "
+        f"to predict (mask_rate {mc.mask_rate})",
+    )

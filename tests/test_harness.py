@@ -8,6 +8,7 @@ from esglm.data import LabeledExample
 from esglm.errors import CheckpointMismatch, EmptySplit, InvalidConfig
 from esglm.harness import (
     Metrics,
+    _example_batch,
     SplitMetrics,
     confusion,
     emit_report,
@@ -165,6 +166,43 @@ class TestRunFinetune:
         with pytest.raises(CheckpointMismatch):
             run_finetune(init_params(short, seed=0), short, splits, "a",
                          TrainConfig())
+
+
+def _reference_finetune(params, config, train, task, tc):
+    """run_finetune's epoch loop written inline, as it was before the loop
+    was shared with pretraining."""
+    labels = np.array([e.label_index(task) for e in train])
+    rng = np.random.default_rng(tc.seed)
+    state = OptimizerState.for_params(params)
+    trace = []
+    for _ in range(tc.epochs):
+        order = rng.permutation(len(train))
+        losses = []
+        for start in range(0, len(train), tc.batch_size):
+            take = order[start : start + tc.batch_size]
+            ids, mask = _example_batch([train[i] for i in take])
+            loss, grads = compute_gradients(
+                (ids, mask, labels[take]), params, config, "classify", rng=rng,
+            )
+            adam_step(params, grads, state, tc)
+            losses.append(loss)
+        trace.append(float(np.mean(losses)))
+    return params, trace
+
+
+class TestSharedLoop:
+    def test_matches_the_inline_epoch_loop_bit_for_bit(self):
+        cfg = dataclasses.replace(CFG, dropout_rate=0.1)
+        splits = tiny_splits(seed=4, n=28)
+        tc = TrainConfig(learning_rate=1e-3, epochs=3, batch_size=4, seed=6)
+        params, _, trace = run_finetune(init_params(cfg, seed=3), cfg, splits,
+                                        "a", tc)
+        want, want_trace = _reference_finetune(
+            init_params(cfg, seed=3), cfg, splits["train"], "a", tc)
+        assert trace == want_trace
+        assert params.flat.dtype == np.float32
+        np.testing.assert_array_equal(params.flat.view(np.uint32),
+                                      want.flat.view(np.uint32))
 
 
 class TestTiedWeights:

@@ -153,6 +153,30 @@ class TestForwardEncoder:
         b = encode_one(enc, params)
         assert np.array_equal(a, b)
 
+    def test_rng_without_dropout_draws_nothing(self):
+        params = tiny_params()  # TINY has dropout_rate 0
+        ids, mask = random_batch(np.random.default_rng(3), TINY)
+        rng = np.random.default_rng(7)
+        before = rng.bit_generator.state
+        h = encoder_forward(ids, mask, params, TINY, rng=rng)
+        assert rng.bit_generator.state == before
+        np.testing.assert_array_equal(h, encoder_forward(ids, mask, params, TINY))
+
+    def test_dropout_follows_the_rng(self):
+        cfg = ModelConfig(vocab_size=16, hidden_dim=8, num_layers=1,
+                          num_heads=2, ffn_dim=16, max_seq_len=12,
+                          dropout_rate=0.3)
+        params = init_params(cfg, seed=1)
+        ids, mask = random_batch(np.random.default_rng(3), cfg)
+        h, cache = encoder_forward(ids, mask, params, cfg, want_cache=True)
+        assert cache["drop"] == {}
+        np.testing.assert_array_equal(h, encoder_forward(ids, mask, params, cfg))
+        h_train, cache = encoder_forward(ids, mask, params, cfg,
+                                         rng=np.random.default_rng(0),
+                                         want_cache=True)
+        assert sorted(cache["drop"]) == ["attn0", "emb", "ffn0"]
+        assert not np.array_equal(h, h_train)
+
     def test_layernorm_normalizes_before_gain(self):
         rng = np.random.default_rng(1)
         params = tiny_params()
@@ -434,11 +458,11 @@ class TestGradients:
         labels = np.array([1])
         loss1, _ = compute_gradients(
             (ids, mask, labels), params, cfg, "classify",
-            train=True, rng=np.random.default_rng(42),
+            rng=np.random.default_rng(42),
         )
         loss2, _ = compute_gradients(
             (ids, mask, labels), params, cfg, "classify",
-            train=True, rng=np.random.default_rng(42),
+            rng=np.random.default_rng(42),
         )
         assert loss1 == loss2
 
@@ -524,15 +548,15 @@ class TestTrimBatch:
         assert_same_gradients(grads, want)
 
 
-def _reference_forward(ids, attention_mask, params, config, train=False,
-                       rng=None, want_cache=False):
+def _reference_forward(ids, attention_mask, params, config, rng=None,
+                       want_cache=False):
     """encoder_forward with the attention written out of place.
 
     Scores come from np.where, the softmax makes three temporaries and
     every layer's arrays are cached: the expressions the in-place forward
     replaced, kept to pin its bits.
     """
-    drop = config.dropout_rate if train else 0.0
+    drop = config.dropout_rate if rng is not None else 0.0
     cache = {"ids": ids, "mask": attention_mask, "layers": [], "drop": {}}
     key_ok = (attention_mask == 1)[:, None, None, :]
     scale = 1.0 / math.sqrt(config.head_dim)
@@ -564,16 +588,16 @@ def _reference_forward(ids, attention_mask, params, config, train=False,
     return (h, cache) if want_cache else h
 
 
-def _reference_backward(dh, cache, params, config, grads, train=False):
+def _reference_backward(dh, cache, params, config, grads):
     """encoder_backward with dscores built out of place."""
-    drop = config.dropout_rate if train else 0.0
     scale = 1.0 / math.sqrt(config.head_dim)
 
     def flat(x):
         return x.reshape(-1, x.shape[-1])
 
     def undrop(dx, key):
-        return dx * cache["drop"][key] / (1.0 - drop) if drop > 0.0 else dx
+        keep = cache["drop"].get(key)
+        return dx if keep is None else dx * keep / (1.0 - config.dropout_rate)
 
     for i in reversed(range(config.num_layers)):
         p = f"layers.{i}."
@@ -660,9 +684,9 @@ class TestInPlaceAttention:
     def test_forward_matches_the_reference(self):
         params = spread_params(DROP, 5, dtype=np.float32)
         ids, mask, _ = self.batch("mlm")
-        h, cache = encoder_forward(ids, mask, params, DROP, train=True,
+        h, cache = encoder_forward(ids, mask, params, DROP,
                                    rng=np.random.default_rng(3), want_cache=True)
-        want_h, want = _reference_forward(ids, mask, params, DROP, train=True,
+        want_h, want = _reference_forward(ids, mask, params, DROP,
                                           rng=np.random.default_rng(3),
                                           want_cache=True)
         assert h.dtype == np.float32
@@ -679,11 +703,10 @@ class TestInPlaceAttention:
         params = spread_params(DROP, 6, dtype=np.float32)
         batch = self.batch(objective)
         loss, grads = compute_gradients(batch, params, DROP, objective,
-                                        train=True, rng=np.random.default_rng(4))
+                                        rng=np.random.default_rng(4))
         monkeypatch.setattr(model, "encoder_forward", _reference_forward)
         monkeypatch.setattr(model, "encoder_backward", _reference_backward)
         want_loss, want = compute_gradients(batch, params, DROP, objective,
-                                            train=True,
                                             rng=np.random.default_rng(4))
         assert loss == want_loss
         assert grads.flat.dtype == np.float32
@@ -729,12 +752,12 @@ class TestMemory:
         params = init_params(WIDE, seed=0)
         ids, mask, _ = self.batch()
         peak = traced_peak(lambda: encoder_forward(ids, mask, params, WIDE))
-        assert peak <= 3.0 * self.UNIT, peak / self.UNIT
+        assert peak <= 2.0 * self.UNIT, peak / self.UNIT
 
     def test_mlm_step_keeps_three_score_arrays(self):
         # at the peak: both layers' cached probs and one dscores buffer
         params = init_params(WIDE, seed=0)
         batch = self.batch()
         peak = traced_peak(lambda: compute_gradients(
-            batch, params, WIDE, "mlm", train=True, rng=np.random.default_rng(1)))
+            batch, params, WIDE, "mlm", rng=np.random.default_rng(1)))
         assert peak <= 5.0 * self.UNIT, peak / self.UNIT

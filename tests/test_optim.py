@@ -3,9 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from esglm.errors import NumericError, ShapeError
+from esglm.errors import EmptyBatch, NumericError, ShapeError
 from esglm.model import ModelConfig, ParameterSet, TrainConfig, init_params
-from esglm.optim import OptimizerState, adam_step
+from esglm.optim import OptimizerState, adam_step, run_epochs
 
 CFG = ModelConfig(vocab_size=12, hidden_dim=4, num_layers=1, num_heads=2,
                   ffn_dim=8, max_seq_len=8, dropout_rate=0.0)
@@ -238,3 +238,38 @@ def test_work_buffers_belong_to_one_state_and_stay_out_of_repr():
     b = OptimizerState.for_params(params)
     assert not any(np.shares_memory(x, y) for x in a.work for y in b.work)
     assert "work" not in repr(a)
+
+
+class TestRunEpochs:
+    def test_batches_slice_a_fresh_permutation_each_epoch(self):
+        tc = TrainConfig(epochs=2, batch_size=3, seed=5)
+        seen = []
+
+        def step(take, rng, state):
+            seen.append(take.tolist())
+            return float(len(take)), None
+
+        trace = run_epochs(7, init_params(CFG, seed=0), tc, step)
+        rng = np.random.default_rng(5)
+        want = []
+        for _ in range(2):
+            order = rng.permutation(7).tolist()
+            want += [order[0:3], order[3:6], order[6:7]]
+        assert seen == want
+        assert trace == [7.0 / 3.0, 7.0 / 3.0]
+
+    def test_skipped_steps_leave_the_mean_to_the_others(self):
+        def step(take, rng, state):
+            return None if 0 in take else (1.0, None)
+
+        tc = TrainConfig(epochs=3, batch_size=1)
+        assert run_epochs(4, init_params(CFG, seed=0), tc, step) == [1.0] * 3
+
+    def test_an_epoch_without_a_step_raises_the_given_message(self):
+        params = init_params(CFG, seed=0)
+        tc = TrainConfig(epochs=2, batch_size=2)
+        with pytest.raises(EmptyBatch, match=r"^epoch 1: no step ran$"):
+            run_epochs(4, params, tc, lambda take, rng, state: None)
+        with pytest.raises(EmptyBatch, match=r"^stage epoch 1 \(rate 0\.0\)$"):
+            run_epochs(4, params, tc, lambda take, rng, state: None,
+                       "stage epoch {epoch} (rate 0.0)")

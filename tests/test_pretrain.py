@@ -1,18 +1,22 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from esglm.errors import InvalidConfig, InvalidInput
+from esglm.errors import EmptyBatch, InvalidConfig, InvalidInput
 from esglm.model import (
     IGNORE_INDEX,
     ModelConfig,
     TrainConfig,
+    compute_gradients,
     cross_entropy,
     encoder_forward,
     forward_mlm,
     init_params,
+    trim_batch,
 )
+from esglm.optim import OptimizerState, adam_step
 from esglm.pretrain import (
     MaskingConfig,
     load_corpus_dir,
@@ -214,11 +218,63 @@ class TestRunPretraining:
         wrecked[mb.targets == IGNORE_INDEX] = 1e6
         assert cross_entropy(wrecked, mb.targets) == loss
 
+    def test_matches_the_inline_epoch_loop_bit_for_bit(self):
+        # float32 with dropout, and a mask rate low enough that some batches
+        # select nothing and are skipped
+        cfg = dataclasses.replace(CFG, dropout_rate=0.1)
+        tc = TrainConfig(learning_rate=1e-3, epochs=3, batch_size=2, seed=4)
+        mc = MaskingConfig(mask_rate=0.05)
+        corpus = _repetitive_corpus(40)
+        params, trace = run_pretraining(
+            corpus, VOCAB, init_params(cfg, seed=2), cfg, tc, mc)
+        want, want_trace, skipped = _reference_pretraining(
+            corpus, VOCAB, init_params(cfg, seed=2), cfg, tc, mc)
+        assert skipped > 0
+        assert trace == want_trace
+        assert params.flat.dtype == np.float32
+        np.testing.assert_array_equal(params.flat.view(np.uint32),
+                                      want.flat.view(np.uint32))
+
+    def test_empty_epoch_message(self):
+        params = init_params(CFG, seed=0)
+        with pytest.raises(EmptyBatch) as caught:
+            run_pretraining(_repetitive_corpus(8), VOCAB, params, CFG,
+                            TrainConfig(), MaskingConfig(mask_rate=0.0))
+        assert str(caught.value) == (
+            "pretraining epoch 1: no batch selected a position to predict "
+            "(mask_rate 0.0)")
+
     def test_empty_corpus_rejected(self):
         params = init_params(CFG, seed=0)
         with pytest.raises(InvalidInput):
             run_pretraining([], VOCAB, params, CFG, TrainConfig(),
                             MaskingConfig())
+
+
+def _reference_pretraining(corpus_docs, vocab, params, config, tc, mc):
+    """run_pretraining's epoch loop written inline, as it was before the
+    loop was shared with fine-tuning; also counts the skipped batches."""
+    windows = window_corpus(corpus_docs, vocab, config.max_seq_len)
+    rng = np.random.default_rng(tc.seed)
+    state = OptimizerState.for_params(params)
+    trace, skipped = [], 0
+    for _ in range(tc.epochs):
+        order = rng.permutation(len(windows))
+        losses = []
+        for start in range(0, len(windows), tc.batch_size):
+            chunk = [windows[i] for i in order[start : start + tc.batch_size]]
+            mb = mask_batch(chunk, vocab, mc, rng)
+            if not mb.selection_mask.any():
+                skipped += 1
+                continue
+            loss, grads = compute_gradients(
+                trim_batch(mb.input_ids, mb.attention_mask, mb.targets),
+                params, config, "mlm", rng=rng,
+            )
+            adam_step(params, grads, state, tc)
+            losses.append(loss)
+        trace.append(float(np.mean(losses)))
+    return params, trace, skipped
 
 
 def test_load_corpus_dir(tmp_path):
