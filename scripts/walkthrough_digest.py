@@ -6,7 +6,11 @@ fixtures, writing under OUT, and prints one `sha256  relpath` line per file
 written plus one `sha256  stdout/<step>` line per stage's standard output.
 A last `sha256  replication/seed0` line digests the `repr` of the fresh and
 adapted test accuracies and the pretraining trace of
-`run_replication_arm(SynthSpec(), 0)`, which trains the encoder in-process.
+`run_replication_arm(SynthSpec(), 0)`, which trains the encoder in-process,
+and a `sha256  paper_step/seed0` line digests the loss and `grads.flat` of
+one MLM `compute_gradients` step and the hidden states of one eval
+`encoder_forward` at paper shapes (B 8, S 512, d 64, 2 heads, FFN 128,
+vocab 2,000, dropout 0.1, one padded row), where attention runs in chunks.
 Every path handed to the CLI is relative to OUT, so no absolute path ends
 up in an artifact and two runs into different directories can be diffed.
 esglm is imported from PYTHONPATH, so the same script digests any checkout:
@@ -81,6 +85,28 @@ def replication_digest() -> str:
     return sha256(repr(result).encode())
 
 
+def paper_step_digest() -> str:
+    import numpy as np
+
+    from esglm.model import (
+        IGNORE_INDEX, ModelConfig, compute_gradients, encoder_forward, init_params,
+    )
+
+    config = ModelConfig(vocab_size=2000, hidden_dim=64, num_layers=2, num_heads=2,
+                         ffn_dim=128, max_seq_len=512, dropout_rate=0.1)
+    rng = np.random.default_rng(0)
+    ids = rng.integers(5, config.vocab_size, size=(8, config.max_seq_len))
+    mask = np.ones_like(ids)
+    mask[3, 200:] = 0
+    ids[mask == 0] = 0
+    targets = np.where((mask == 1) & (rng.random(ids.shape) < 0.15), ids, IGNORE_INDEX)
+    params = init_params(config, seed=0)
+    loss, grads = compute_gradients((ids, mask, targets), params, config, "mlm",
+                                    rng=np.random.default_rng(1))
+    hidden = encoder_forward(ids, mask, params, config)
+    return sha256(repr(loss).encode() + grads.flat.tobytes() + hidden.tobytes())
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -108,6 +134,7 @@ def main(argv: list[str]) -> int:
     for path in sorted(p for p in Path("out").rglob("*") if p.is_file()):
         lines.append(f"{sha256(path.read_bytes())}  {path.as_posix()}")
     lines.append(f"{replication_digest()}  replication/seed0")
+    lines.append(f"{paper_step_digest()}  paper_step/seed0")
     print("\n".join(lines))
     return 0
 

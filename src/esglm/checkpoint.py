@@ -16,6 +16,8 @@ before any tensor is read.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import asdict, dataclass
 
@@ -67,10 +69,11 @@ def save_checkpoint(
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise CorruptCheckpoint(f"truncated while reading {what}")
-    return data
+    """n bytes, refused before reading when fewer are left in the file."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise CorruptCheckpoint(f"truncated: {what} needs {n} bytes, {left} left")
+    return fh.read(n)
 
 
 def load_checkpoint(path) -> tuple[ParameterSet, ModelConfig, CheckpointMeta]:
@@ -102,7 +105,7 @@ def load_checkpoint(path) -> tuple[ParameterSet, ModelConfig, CheckpointMeta]:
                 raise CorruptCheckpoint(f"{path}: unknown dtype {dtype_code}")
             dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "dims"))
             dtype = _DTYPES[dtype_code]
-            n_bytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize
+            n_bytes = math.prod(dims) * dtype.itemsize  # Python ints never wrap
             payload = _read_exact(fh, n_bytes, f"payload of {name}")
             tensors[name] = np.frombuffer(payload, dtype=dtype).reshape(dims)
         if fh.read(1):

@@ -25,6 +25,9 @@ INIT_STD = 0.02
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
+# floats in one chunk's (n, H, S, S) score block: 2 MiB, one example at S 512, H 2
+_SCORE_BUDGET = 1 << 19
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -196,12 +199,14 @@ def gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     )
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, in place: x becomes the result."""
-    x -= np.max(x, axis=-1, keepdims=True)
+def _softmax(x: np.ndarray):
+    """Softmax over the last axis, in place; returns the row max and row sum."""
+    row_max = np.max(x, axis=-1, keepdims=True)
+    x -= row_max
     np.exp(x, out=x)
-    x /= np.sum(x, axis=-1, keepdims=True)
-    return x
+    row_sum = np.sum(x, axis=-1, keepdims=True)
+    x /= row_sum
+    return row_max, row_sum
 
 
 def _layernorm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
@@ -233,6 +238,56 @@ def _split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
 def _merge_heads(x: np.ndarray) -> np.ndarray:
     b, h, s, dh = x.shape
     return x.transpose(0, 2, 1, 3).reshape(b, s, h * dh)
+
+
+def _examples_per_chunk(q: np.ndarray) -> int:
+    return max(1, _SCORE_BUDGET // (q.shape[1] * q.shape[2] ** 2))
+
+
+def _masked_scores(q, k, key_pad, scale):
+    """q @ kT * scale with PAD keys at -inf, in one new buffer."""
+    scores = q @ k.swapaxes(-1, -2)
+    scores *= scale
+    if key_pad.any():  # with no PAD key the fill changes no bit
+        np.copyto(scores, -np.inf, where=key_pad)
+    return scores
+
+
+def _attention(q, k, v, key_pad, scale):
+    """Merged head outputs over chunks of whole examples, and what to cache:
+    the probs when one chunk covers the batch, else each row's softmax max
+    and sum, from which the backward rebuilds them."""
+    b, n = q.shape[0], _examples_per_chunk(q)
+    if n >= b:
+        probs = _masked_scores(q, k, key_pad, scale)
+        _softmax(probs)
+        return _merge_heads(probs @ v), {"probs": probs}
+    heads = np.empty(v.shape, v.dtype)
+    row_max, row_sum = (np.empty((*q.shape[:3], 1), q.dtype) for _ in "ms")
+    for e in (slice(c, c + n) for c in range(0, b, n)):
+        probs = _masked_scores(q[e], k[e], key_pad[e], scale)
+        row_max[e], row_sum[e] = _softmax(probs)
+        np.matmul(probs, v[e], out=heads[e])
+        del probs  # else two chunks' scores are alive at once
+    return _merge_heads(heads), {"row_max": row_max, "row_sum": row_sum}
+
+
+def _rebuilt_probs(lc, key_pad, scale, e: slice):
+    """The forward's probs for examples e, bit for bit, from its row max and sum."""
+    probs = _masked_scores(lc["q"][e], lc["k"][e], key_pad[e], scale)
+    probs -= lc["row_max"][e]
+    np.exp(probs, out=probs)
+    probs /= lc["row_sum"][e]
+    return probs
+
+
+def _score_grads(probs, dctx, rowsum, q, k, v, scale):
+    """dq, dk, dv of softmax attention; dscores is built in the dprobs buffer."""
+    dv = probs.swapaxes(-1, -2) @ dctx
+    dscores = dctx @ v.swapaxes(-1, -2)
+    dscores -= rowsum
+    dscores *= probs
+    return (dscores @ k) * scale, (dscores.swapaxes(-1, -2) @ q) * scale, dv
 
 
 def _dropout(x, rate, rng, cache_slot, key):
@@ -284,12 +339,7 @@ def encoder_forward(
         q = _split_heads(x @ params[p + "attn.wq"] + params[p + "attn.bq"], config.num_heads)
         k = _split_heads(x @ params[p + "attn.wk"] + params[p + "attn.bk"], config.num_heads)
         v = _split_heads(x @ params[p + "attn.wv"] + params[p + "attn.bv"], config.num_heads)
-        # scores, masked scores and probs share one (B, H, S, S) buffer
-        probs = q @ k.swapaxes(-1, -2)
-        probs *= scale
-        np.copyto(probs, -np.inf, where=key_pad)
-        _softmax(probs)
-        ctx = _merge_heads(probs @ v)
+        ctx, softmax = _attention(q, k, v, key_pad, scale)
         attn = ctx @ params[p + "attn.wo"] + params[p + "attn.bo"]
         attn = _dropout(attn, drop, rng, cache["drop"], f"attn{i}")
         h1, ln1_cache = _layernorm(
@@ -304,9 +354,9 @@ def encoder_forward(
         )
         if want_cache:  # an eval forward keeps no layer's arrays
             cache["layers"].append(dict(
-                x=x, q=q, k=k, v=v, probs=probs, ctx=ctx, ln1=ln1_cache,
-                h1=h1, f1=f1, a=a, t=t, ln2=ln2_cache))
-        del probs  # else it stays alive while the next layer's is built
+                x=x, q=q, k=k, v=v, ctx=ctx, ln1=ln1_cache,
+                h1=h1, f1=f1, a=a, t=t, ln2=ln2_cache, **softmax))
+        del softmax  # else probs stay alive while the next layer's are built
 
     return (h, cache) if want_cache else h
 
@@ -352,16 +402,21 @@ def encoder_backward(
         grads[p + "attn.bo"] += dattn.sum(axis=(0, 1))
         dctx = _split_heads(dattn @ params[p + "attn.wo"].T, config.num_heads)
 
-        dv = lc["probs"].swapaxes(-1, -2) @ dctx
-        # dscores = probs * (dprobs - rowsum), built in the dprobs buffer; as
-        # ctx = probs @ v, rowsum = sum_j dprobs * probs = dctx . ctx
+        # dscores = probs * (dprobs - rowsum); as ctx = probs @ v,
+        # rowsum = sum_j dprobs * probs = dctx . ctx
         rowsum = np.sum(dctx * _split_heads(lc["ctx"], config.num_heads),
                         axis=-1, keepdims=True)
-        dscores = dctx @ lc["v"].swapaxes(-1, -2)
-        dscores -= rowsum
-        dscores *= lc["probs"]
-        dq = (dscores @ lc["k"]) * scale
-        dk = (dscores.swapaxes(-1, -2) @ lc["q"]) * scale
+        q, k, v = lc["q"], lc["k"], lc["v"]
+        if "probs" in lc:
+            dq, dk, dv = _score_grads(lc["probs"], dctx, rowsum, q, k, v, scale)
+        else:  # chunk by chunk, as the forward ran
+            key_pad = (cache["mask"] != 1)[:, None, None, :]
+            dq, dk, dv = (np.empty(q.shape, dctx.dtype) for _ in "qkv")
+            n = _examples_per_chunk(q)
+            for e in (slice(c, c + n) for c in range(0, q.shape[0], n)):
+                dq[e], dk[e], dv[e] = _score_grads(
+                    _rebuilt_probs(lc, key_pad, scale, e), dctx[e], rowsum[e],
+                    q[e], k[e], v[e], scale)
 
         dh = dres1
         for m, dm in (("q", dq), ("k", dk), ("v", dv)):
@@ -369,7 +424,7 @@ def encoder_backward(
             grads[p + f"attn.w{m}"] += flat(lc["x"]).T @ flat(dm_m)
             grads[p + f"attn.b{m}"] += dm_m.sum(axis=(0, 1))
             dh = dh + dm_m @ params[p + f"attn.w{m}"].T
-        del dscores, dq, dk, dv, dctx, dm, dm_m  # else the next layer keeps them
+        del dq, dk, dv, dctx, dm, dm_m  # else the next layer keeps them
 
     dh = undrop(dh, "emb")
     np.add.at(grads["tok_emb"], cache["ids"].reshape(-1), flat(dh))

@@ -90,6 +90,24 @@ class TestRejection:
         with pytest.raises(CorruptCheckpoint):
             load_checkpoint(bad)
 
+    @pytest.mark.parametrize("dims", [(0xFFFFFFFF, 0xFFFFFFFF), (1 << 20,)])
+    def test_oversized_record_rejected_before_reading(self, tmp_path, dims):
+        # the first record promises more payload than the file holds; a dims
+        # product that overflows int64 once gave a negative size
+        _, path = saved(tmp_path)
+        raw = bytearray(path.read_bytes())
+        meta_len = int.from_bytes(raw[8:12], "little")
+        rec = 12 + meta_len + 4
+        name_len = int.from_bytes(raw[rec:rec + 4], "little")
+        dtype_at = rec + 4 + name_len
+        rank = raw[dtype_at + 1]
+        bad = tmp_path / "huge.ckpt"
+        bad.write_bytes(bytes(raw[:dtype_at]) + bytes([0, len(dims)])
+                        + b"".join(d.to_bytes(4, "little") for d in dims)
+                        + bytes(raw[dtype_at + 2 + 4 * rank:]))
+        with pytest.raises(CorruptCheckpoint, match="needs"):
+            load_checkpoint(bad)
+
     def test_metadata_checked_before_tensors(self, tmp_path):
         # a file holding only magic+version+meta must fail on the meta read,
         # proving no tensor parsing happens before validation

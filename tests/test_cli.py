@@ -111,6 +111,21 @@ class TestExitCodes:
                      "--ckpt", str(bad), "--out", str(tmp_path / "o.jsonl")])
         assert code == 2
 
+    def test_oversized_checkpoint_record_is_2(self, tmp_path, capsys):
+        # one record whose dims promise 2**64 floats, in an otherwise valid file
+        meta = json.dumps({"model_config": {
+            "vocab_size": 8, "hidden_dim": 4, "num_layers": 1, "num_heads": 1,
+            "ffn_dim": 4}, "stage": "finetuned_a", "seed": 0}).encode()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(b"ESGB" + (1).to_bytes(4, "little")
+                        + len(meta).to_bytes(4, "little") + meta
+                        + (1).to_bytes(4, "little") + (7).to_bytes(4, "little")
+                        + b"tok_emb" + bytes([0, 2]) + b"\xff" * 8)
+        assert main(["evaluate", "--ckpt", str(bad),
+                     "--data", str(tmp_path / "data"),
+                     "--metrics", str(tmp_path / "m.json")]) == 2
+        assert "esglm: error:" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_failure_is_3(self, pipeline_run, tmp_path, fixtures_dir):
         from esglm.checkpoint import load_checkpoint, save_checkpoint

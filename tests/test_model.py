@@ -648,21 +648,39 @@ DROP = ModelConfig(vocab_size=40, hidden_dim=16, num_layers=2, num_heads=2,
                    ffn_dim=32, max_seq_len=24, dropout_rate=0.1)
 
 
+def drop_batch(objective):
+    """Three DROP rows; row 0 is full width, the others end in PAD."""
+    rng = np.random.default_rng(21)
+    inputs = [prepare_input(rng.integers(5, DROP.vocab_size, size=n).tolist(),
+                            max_seq_len=DROP.max_seq_len) for n in (22, 9, 4)]
+    ids, mask = batch_arrays(inputs)
+    if objective == "mlm":
+        targets = np.where((mask == 1) & (rng.random(ids.shape) < 0.3),
+                           ids, IGNORE_INDEX)
+        targets[0, 1] = ids[0, 1]
+    else:
+        targets = np.array([1, 0, 1])
+    return ids, mask, targets
+
+
+def assert_gradients_match_the_reference(objective, monkeypatch):
+    params = spread_params(DROP, 6, dtype=np.float32)
+    batch = drop_batch(objective)
+    loss, grads = compute_gradients(batch, params, DROP, objective,
+                                    rng=np.random.default_rng(4))
+    monkeypatch.setattr(model, "encoder_forward", _reference_forward)
+    monkeypatch.setattr(model, "encoder_backward", _reference_backward)
+    want_loss, want = compute_gradients(batch, params, DROP, objective,
+                                        rng=np.random.default_rng(4))
+    assert loss == want_loss
+    assert grads.flat.dtype == np.float32
+    for name in want:
+        np.testing.assert_array_equal(_bits(grads[name]), _bits(want[name]),
+                                      err_msg=name)
+
+
 class TestInPlaceAttention:
     """The in-place attention keeps every float32 bit of the reference."""
-
-    def batch(self, objective):
-        rng = np.random.default_rng(21)
-        inputs = [prepare_input(rng.integers(5, DROP.vocab_size, size=n).tolist(),
-                                max_seq_len=DROP.max_seq_len) for n in (22, 9, 4)]
-        ids, mask = batch_arrays(inputs)
-        if objective == "mlm":
-            targets = np.where((mask == 1) & (rng.random(ids.shape) < 0.3),
-                               ids, IGNORE_INDEX)
-            targets[0, 1] = ids[0, 1]
-        else:
-            targets = np.array([1, 0, 1])
-        return ids, mask, targets
 
     def test_row_sum_from_head_outputs(self):
         """sum_j dprobs_ij probs_ij == dctx_i . ctx_i, PAD keys included."""
@@ -683,7 +701,7 @@ class TestInPlaceAttention:
 
     def test_forward_matches_the_reference(self):
         params = spread_params(DROP, 5, dtype=np.float32)
-        ids, mask, _ = self.batch("mlm")
+        ids, mask, _ = drop_batch("mlm")
         h, cache = encoder_forward(ids, mask, params, DROP,
                                    rng=np.random.default_rng(3), want_cache=True)
         want_h, want = _reference_forward(ids, mask, params, DROP,
@@ -700,19 +718,47 @@ class TestInPlaceAttention:
 
     @pytest.mark.parametrize("objective", ["mlm", "classify"])
     def test_gradients_match_the_reference(self, objective, monkeypatch):
-        params = spread_params(DROP, 6, dtype=np.float32)
-        batch = self.batch(objective)
-        loss, grads = compute_gradients(batch, params, DROP, objective,
-                                        rng=np.random.default_rng(4))
-        monkeypatch.setattr(model, "encoder_forward", _reference_forward)
-        monkeypatch.setattr(model, "encoder_backward", _reference_backward)
-        want_loss, want = compute_gradients(batch, params, DROP, objective,
-                                            rng=np.random.default_rng(4))
-        assert loss == want_loss
-        assert grads.flat.dtype == np.float32
-        for name in want:
-            np.testing.assert_array_equal(_bits(grads[name]), _bits(want[name]),
-                                          err_msg=name)
+        assert_gradients_match_the_reference(objective, monkeypatch)
+
+
+class TestChunkedAttention:
+    """Attention in one-example chunks keeps every float32 bit of the reference.
+
+    The backward rebuilds each chunk's probs from the saved row max and sum.
+    Row 0 of the batch is full width, so one chunk has no PAD key and the
+    others have some.
+    """
+
+    @pytest.fixture(autouse=True)
+    def one_example_per_chunk(self, monkeypatch):
+        monkeypatch.setattr(model, "_SCORE_BUDGET",
+                            DROP.num_heads * DROP.max_seq_len**2)
+
+    def test_forward_matches_the_reference(self):
+        params = spread_params(DROP, 5, dtype=np.float32)
+        ids, mask, _ = drop_batch("mlm")
+        assert mask[0].all() and not mask[1:].all()
+        h, cache = encoder_forward(ids, mask, params, DROP,
+                                   rng=np.random.default_rng(3), want_cache=True)
+        want_h, want = _reference_forward(ids, mask, params, DROP,
+                                          rng=np.random.default_rng(3),
+                                          want_cache=True)
+        np.testing.assert_array_equal(_bits(h), _bits(want_h))
+        key_pad = (mask != 1)[:, None, None, :]
+        scale = 1.0 / math.sqrt(DROP.head_dim)
+        for got_lc, want_lc in zip(cache["layers"], want["layers"], strict=True):
+            assert "probs" not in got_lc
+            for row in range(len(ids)):
+                np.testing.assert_array_equal(
+                    _bits(model._rebuilt_probs(got_lc, key_pad, scale, slice(row, row + 1))),
+                    _bits(want_lc["probs"][row:row + 1]))
+        np.testing.assert_array_equal(
+            _bits(encoder_forward(ids, mask, params, DROP)),
+            _bits(_reference_forward(ids, mask, params, DROP)))
+
+    @pytest.mark.parametrize("objective", ["mlm", "classify"])
+    def test_gradients_match_the_reference(self, objective, monkeypatch):
+        assert_gradients_match_the_reference(objective, monkeypatch)
 
 
 def traced_peak(fn) -> int:
@@ -731,7 +777,11 @@ WIDE = ModelConfig(vocab_size=100, hidden_dim=32, num_layers=2, num_heads=2,
 
 
 class TestMemory:
-    """Peaks in units of one (B, H, S, S) float32 score array."""
+    """Peaks in units of one (B, H, S, S) float32 score array.
+
+    At S 512 and 2 heads, attention runs one example per chunk, so a chunk's
+    score block is 1/B of a unit.
+    """
 
     B = 8
     UNIT = B * WIDE.num_heads * WIDE.max_seq_len**2 * 4
@@ -752,12 +802,13 @@ class TestMemory:
         params = init_params(WIDE, seed=0)
         ids, mask, _ = self.batch()
         peak = traced_peak(lambda: encoder_forward(ids, mask, params, WIDE))
-        assert peak <= 2.0 * self.UNIT, peak / self.UNIT
+        assert peak <= 1.0 * self.UNIT, peak / self.UNIT
 
-    def test_mlm_step_keeps_three_score_arrays(self):
-        # at the peak: both layers' cached probs and one dscores buffer
+    def test_mlm_step_caches_no_score_array(self):
+        # at the peak: both layers' (B, S, .) caches with their row max and
+        # sum, and one chunk's rebuilt probs and dscores
         params = init_params(WIDE, seed=0)
         batch = self.batch()
         peak = traced_peak(lambda: compute_gradients(
             batch, params, WIDE, "mlm", rng=np.random.default_rng(1)))
-        assert peak <= 5.0 * self.UNIT, peak / self.UNIT
+        assert peak <= 2.0 * self.UNIT, peak / self.UNIT
