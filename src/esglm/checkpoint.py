@@ -99,7 +99,7 @@ def load_checkpoint(path) -> tuple[ParameterSet, ModelConfig, CheckpointMeta]:
         tensors: dict[str, np.ndarray] = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "name length"))
-            name = _read_exact(fh, name_len, "tensor name").decode("utf-8")
+            name = _read_exact(fh, name_len, "tensor name").decode("utf-8", "replace")
             dtype_code, rank = struct.unpack("<BB", _read_exact(fh, 2, "dtype/rank"))
             if dtype_code not in _DTYPES:
                 raise CorruptCheckpoint(f"{path}: unknown dtype {dtype_code}")

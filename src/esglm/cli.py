@@ -13,6 +13,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -470,7 +471,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _pin_malloc_thresholds() -> None:
+    """On glibc, take blocks under 16 MiB from the heap and keep 32 MiB freed.
+
+    glibc raises these thresholds itself only when it frees a mapped block
+    larger than the current one, so a stage's page faults would depend on
+    the arrays that stages before it in the same process happened to free.
+    A full (8, 2, 512, 512) float32 score array once raised them this far.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 16 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _pin_malloc_thresholds()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -108,6 +108,15 @@ class TestRejection:
         with pytest.raises(CorruptCheckpoint, match="needs"):
             load_checkpoint(bad)
 
+    def test_tensor_name_not_utf8_rejected(self, tmp_path):
+        _, path = saved(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[raw.index(b"tok_emb")] = 0xFF
+        bad = tmp_path / "name.ckpt"
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(CorruptCheckpoint):
+            load_checkpoint(bad)
+
     def test_metadata_checked_before_tensors(self, tmp_path):
         # a file holding only magic+version+meta must fail on the meta read,
         # proving no tensor parsing happens before validation

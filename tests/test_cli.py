@@ -1,3 +1,4 @@
+import ctypes
 import json
 import os
 import shutil
@@ -125,6 +126,26 @@ class TestExitCodes:
                      "--data", str(tmp_path / "data"),
                      "--metrics", str(tmp_path / "m.json")]) == 2
         assert "esglm: error:" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"),
+                        reason="needs glibc's mallopt")
+    def test_stage_reuses_freed_memory(self):
+        # by default, a fresh process maps the first 12 MiB block, returns it
+        # to the OS when it is freed, and faults in new heap pages for the next
+        code = (
+            "import resource, numpy as np; from esglm.cli import main\n"
+            "main(['vocab'])  # a usage error, after the stage's set-up\n"
+            "a = np.ones(3 << 20, np.float32); del a\n"
+            "f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "b = np.ones(3 << 20, np.float32)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)\n")
+        env = dict(os.environ)
+        src = str(Path(esglm.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout.split()[-1]) < 100
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_failure_is_3(self, pipeline_run, tmp_path, fixtures_dir):

@@ -749,9 +749,10 @@ class TestChunkedAttention:
         for got_lc, want_lc in zip(cache["layers"], want["layers"], strict=True):
             assert "probs" not in got_lc
             for row in range(len(ids)):
+                e = slice(row, row + 1)
                 np.testing.assert_array_equal(
-                    _bits(model._rebuilt_probs(got_lc, key_pad, scale, slice(row, row + 1))),
-                    _bits(want_lc["probs"][row:row + 1]))
+                    _bits(model._rebuilt_probs(got_lc, key_pad, scale, e)),
+                    _bits(want_lc["probs"][e]))
         np.testing.assert_array_equal(
             _bits(encoder_forward(ids, mask, params, DROP)),
             _bits(_reference_forward(ids, mask, params, DROP)))
@@ -805,8 +806,8 @@ class TestMemory:
         assert peak <= 1.0 * self.UNIT, peak / self.UNIT
 
     def test_mlm_step_caches_no_score_array(self):
-        # at the peak: both layers' (B, S, .) caches with their row max and
-        # sum, and one chunk's rebuilt probs and dscores
+        # no layer caches its probs; the peak holds the layers' (B, S, .)
+        # caches and one chunk's score blocks
         params = init_params(WIDE, seed=0)
         batch = self.batch()
         peak = traced_peak(lambda: compute_gradients(
