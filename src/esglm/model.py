@@ -199,7 +199,7 @@ def gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     )
 
 
-def _softmax(x: np.ndarray):
+def _softmax(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Softmax over the last axis, in place; returns the row max and row sum."""
     row_max = np.max(x, axis=-1, keepdims=True)
     x -= row_max
