@@ -85,12 +85,11 @@ def replication_digest() -> str:
     return sha256(repr(result).encode())
 
 
-def paper_step_digest() -> str:
+def paper_step_inputs():
+    """(config, params, (ids, mask, targets)) of the paper_step/seed0 MLM step."""
     import numpy as np
 
-    from esglm.model import (
-        IGNORE_INDEX, ModelConfig, compute_gradients, encoder_forward, init_params,
-    )
+    from esglm.model import IGNORE_INDEX, ModelConfig, init_params
 
     config = ModelConfig(vocab_size=2000, hidden_dim=64, num_layers=2, num_heads=2,
                          ffn_dim=128, max_seq_len=512, dropout_rate=0.1)
@@ -100,7 +99,15 @@ def paper_step_digest() -> str:
     mask[3, 200:] = 0
     ids[mask == 0] = 0
     targets = np.where((mask == 1) & (rng.random(ids.shape) < 0.15), ids, IGNORE_INDEX)
-    params = init_params(config, seed=0)
+    return config, init_params(config, seed=0), (ids, mask, targets)
+
+
+def paper_step_digest() -> str:
+    import numpy as np
+
+    from esglm.model import compute_gradients, encoder_forward
+
+    config, params, (ids, mask, targets) = paper_step_inputs()
     loss, grads = compute_gradients((ids, mask, targets), params, config, "mlm",
                                     rng=np.random.default_rng(1))
     hidden = encoder_forward(ids, mask, params, config)

@@ -23,7 +23,9 @@ import numpy as np
 from . import baselines, data
 from .artifacts import read_text, write_jsonl
 from .checkpoint import CheckpointMeta, load_checkpoint, save_checkpoint
-from .errors import CheckpointMismatch, ConfigError, DataError, EsglmError
+from .errors import (
+    CheckpointMismatch, ConfigError, DataError, EsglmError, InvalidConfig,
+)
 from .extract import (
     DEFAULT_BENCHMARK,
     DanEmbedder,
@@ -86,6 +88,14 @@ class PipelineConfig:
     # eda
     delta_bins: int = 20
     sentlen_bin_width: int = 10
+
+    def __post_init__(self):
+        if self.seq_len < 3:  # [CLS], one token, [SEP]
+            raise InvalidConfig(f"seq_len must be >= 3, got {self.seq_len}")
+        for name in ("seed", "dan_seed"):
+            value = getattr(self, name)
+            if value < 0:
+                raise InvalidConfig(f"{name} must be >= 0, got {value}")
 
 
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False}

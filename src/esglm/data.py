@@ -124,6 +124,10 @@ class SplitSpec:
     mode: str = "stratified"  # or "temporal"
     group_by_ticker: bool = False
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidConfig(f"split seed must be >= 0, got {self.seed}")
+
 
 @dataclass
 class JoinReport:

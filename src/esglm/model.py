@@ -193,10 +193,19 @@ def gelu(x: np.ndarray, with_tanh: bool = False):
 
 
 def gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """d gelu(x) / dx, given t from gelu(x, with_tanh=True)."""
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * _GELU_C * (
-        1.0 + 3.0 * _GELU_A * x**2
-    )
+    """d gelu(x) / dx, given t from gelu(x, with_tanh=True), in two new buffers:
+    0.5 * (1 + t) + 0.5 * x * (1 - t**2) * C * (1 + 3 * A * x**2), bit for bit."""
+    g = 0.5 * x
+    u = np.square(t)
+    g *= np.subtract(1.0, u, out=u)
+    g *= _GELU_C
+    np.square(x, out=u)
+    u *= 3.0 * _GELU_A
+    g *= np.add(u, 1.0, out=u)
+    u = np.add(t, 1.0, out=u)
+    u *= 0.5
+    g += u
+    return g
 
 
 def _softmax(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -353,9 +362,9 @@ def encoder_forward(
             h1 + f2, params[p + "ln2.gain"], params[p + "ln2.bias"]
         )
         if want_cache:  # an eval forward keeps no layer's arrays
-            cache["layers"].append(dict(
-                x=x, q=q, k=k, v=v, ctx=ctx, ln1=ln1_cache,
-                h1=h1, f1=f1, a=a, t=t, ln2=ln2_cache, **softmax))
+            cache["layers"].append(dict(  # x, h1 and a: rebuilt by the backward
+                q=q, k=k, v=v, ctx=ctx, ln1=ln1_cache,
+                f1=f1, t=t, ln2=ln2_cache, **softmax))
         del softmax  # else probs stay alive while the next layer's are built
 
     return (h, cache) if want_cache else h
@@ -378,6 +387,9 @@ def encoder_backward(
         keep = cache["drop"].get(key)
         return dx if keep is None else dx * keep / (1.0 - config.dropout_rate)
 
+    def ln_out(name, ln_cache):  # a layernorm's output, as _layernorm formed it
+        return params[name + ".gain"] * ln_cache[0] + params[name + ".bias"]
+
     for i in reversed(range(config.num_layers)):
         p = f"layers.{i}."
         lc = cache["layers"][i]
@@ -386,14 +398,20 @@ def encoder_backward(
         grads[p + "ln2.bias"] += db2
 
         df2 = undrop(dres2, f"ffn{i}")
-        grads[p + "ffn.w2"] += flat(lc["a"]).T @ flat(df2)
+        a = 0.5 * lc["f1"] * (1.0 + lc["t"])  # gelu's own expression
+        grads[p + "ffn.w2"] += flat(a).T @ flat(df2)
+        del a
         grads[p + "ffn.b2"] += df2.sum(axis=(0, 1))
-        df1 = (df2 @ params[p + "ffn.w2"].T) * gelu_grad(lc["f1"], lc["t"])
-        grads[p + "ffn.w1"] += flat(lc["h1"]).T @ flat(df1)
+        df1 = df2 @ params[p + "ffn.w2"].T
+        df1 *= gelu_grad(lc["f1"], lc["t"])
+        h1 = ln_out(p + "ln1", lc["ln1"])
+        grads[p + "ffn.w1"] += flat(h1).T @ flat(df1)
         grads[p + "ffn.b1"] += df1.sum(axis=(0, 1))
         dh1 = dres2 + df1 @ params[p + "ffn.w1"].T
+        del dres2, df2, df1, h1
 
         dres1, dg1, db1 = _layernorm_backward(dh1, lc["ln1"], params[p + "ln1.gain"])
+        del dh1
         grads[p + "ln1.gain"] += dg1
         grads[p + "ln1.bias"] += db1
 
@@ -401,6 +419,7 @@ def encoder_backward(
         grads[p + "attn.wo"] += flat(lc["ctx"]).T @ flat(dattn)
         grads[p + "attn.bo"] += dattn.sum(axis=(0, 1))
         dctx = _split_heads(dattn @ params[p + "attn.wo"].T, config.num_heads)
+        del dattn
 
         # dscores = probs * (dprobs - rowsum); as ctx = probs @ v,
         # rowsum = sum_j dprobs * probs = dctx . ctx
@@ -418,13 +437,15 @@ def encoder_backward(
                     _rebuilt_probs(lc, key_pad, scale, e), dctx[e], rowsum[e],
                     q[e], k[e], v[e], scale)
 
+        x = cache["emb_out"] if i == 0 else ln_out(
+            f"layers.{i - 1}.ln2", cache["layers"][i - 1]["ln2"])
         dh = dres1
         for m, dm in (("q", dq), ("k", dk), ("v", dv)):
             dm_m = _merge_heads(dm)
-            grads[p + f"attn.w{m}"] += flat(lc["x"]).T @ flat(dm_m)
+            grads[p + f"attn.w{m}"] += flat(x).T @ flat(dm_m)
             grads[p + f"attn.b{m}"] += dm_m.sum(axis=(0, 1))
             dh = dh + dm_m @ params[p + f"attn.w{m}"].T
-        del dq, dk, dv, dctx, dm, dm_m  # else the next layer keeps them
+        del dq, dk, dv, dctx, dm, dm_m, x  # else the next layer keeps them
 
     dh = undrop(dh, "emb")
     np.add.at(grads["tok_emb"], cache["ids"].reshape(-1), flat(dh))
@@ -438,7 +459,9 @@ def forward_mlm(hidden: np.ndarray, params: ParameterSet) -> np.ndarray:
         raise ShapeError(
             f"hidden dim {hidden.shape[-1]} != embedding dim {tok_emb.shape[1]}"
         )
-    return hidden @ tok_emb.T + params["mlm_bias"]
+    logits = hidden @ tok_emb.T
+    logits += params["mlm_bias"]
+    return logits
 
 
 def forward_classify(hidden: np.ndarray, params: ParameterSet) -> np.ndarray:
@@ -455,11 +478,13 @@ def cross_entropy(
     logits: np.ndarray, targets: np.ndarray, ignore_index: int = IGNORE_INDEX
 ) -> float:
     """Mean -log softmax(logits)[target] over non-ignored positions."""
-    loss, _ = _cross_entropy_with_grad(logits, targets, ignore_index)
+    # a copy, as the loss works in the buffer it is given
+    loss, _ = _cross_entropy_with_grad(np.array(logits), targets, ignore_index)
     return loss
 
 
 def _cross_entropy_with_grad(logits, targets, ignore_index=IGNORE_INDEX):
+    """(loss, dlogits); works in the logits buffer, which becomes dlogits."""
     logits = np.asarray(logits)
     targets = np.asarray(targets)
     if logits.shape[:-1] != targets.shape:
@@ -474,20 +499,19 @@ def _cross_entropy_with_grad(logits, targets, ignore_index=IGNORE_INDEX):
         raise EmptyBatch("all targets are ignored")
 
     # max-subtraction keeps exp in range for any logit magnitude
-    m = flat.max(axis=-1, keepdims=True)
-    shifted = flat - m
-    e = np.exp(shifted)
-    total = np.sum(e, axis=-1, keepdims=True)
-    lse = np.log(total[:, 0])
-    idx = np.where(kept, tgt, 0)
-    nll = lse - shifted[np.arange(flat.shape[0]), idx]
+    flat -= flat.max(axis=-1, keepdims=True)
+    rows, idx = np.arange(flat.shape[0]), np.where(kept, tgt, 0)
+    picked = flat[rows, idx]  # the target's shifted logit, before exp
+    np.exp(flat, out=flat)
+    total = np.sum(flat, axis=-1, keepdims=True)
+    nll = np.log(total[:, 0]) - picked
     loss = float(np.sum(nll[kept]) / n)
 
-    dflat = e / total  # the softmax, from the exponentials summed above
-    dflat[np.arange(flat.shape[0]), idx] -= 1.0
-    dflat[~kept] = 0.0
-    dflat /= n
-    return loss, dflat.reshape(logits.shape)
+    flat /= total  # the softmax, from the exponentials summed above
+    flat[rows, idx] -= 1.0
+    flat[~kept] = 0.0
+    flat /= n
+    return loss, flat.reshape(logits.shape)
 
 
 def compute_gradients(

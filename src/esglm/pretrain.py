@@ -47,7 +47,11 @@ class MaskingConfig:
         # rate 0 is allowed as an explicit degenerate case (no corruption)
         if not 0.0 <= self.mask_rate < 1.0:
             raise InvalidConfig(f"mask_rate {self.mask_rate} not in [0,1)")
-        total = self.replace_with_mask + self.replace_with_random + self.keep_original
+        fractions = (self.replace_with_mask, self.replace_with_random,
+                     self.keep_original)
+        if not all(0.0 <= f <= 1.0 for f in fractions):  # NaN fails too
+            raise InvalidConfig(f"corruption fractions {fractions} not in [0,1]")
+        total = sum(fractions)
         if abs(total - 1.0) > 1e-9:
             raise InvalidConfig(f"corruption fractions sum to {total}, not 1")
 

@@ -163,6 +163,61 @@ class TestExitCodes:
         assert code == 3
 
 
+class TestConfigValues:
+    """Config values that no stage can run with fail with exit 1, never a
+    traceback, and before any training."""
+
+    def config(self, tmp_path, fixtures_dir, *overrides):
+        path = tmp_path / "bad.cfg"
+        path.write_text((fixtures_dir / "fixture.cfg").read_text(encoding="utf-8")
+                        + "".join(f"{o}\n" for o in overrides), encoding="utf-8")
+        return str(path)
+
+    def assert_config_error(self, code, capsys):
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert "esglm: error:" in err
+
+    @pytest.mark.parametrize("overrides", [
+        ("seq_len=2",), ("seed=-1",), ("mask_prob=nan",),
+        ("mask_prob=1.5", "random_prob=-0.6"),
+    ])
+    def test_pretrain(self, overrides, pipeline_run, tmp_path, fixtures_dir,
+                      capsys):
+        code = main(["pretrain", "--config",
+                     self.config(tmp_path, fixtures_dir, *overrides),
+                     "--corpus", str(fixtures_dir / "corpus"),
+                     "--vocab", str(pipeline_run / "vocab.txt"),
+                     "--out", str(tmp_path / "pre.ckpt")])
+        self.assert_config_error(code, capsys)
+        assert not (tmp_path / "pre.ckpt").exists()
+
+    def test_negative_dan_seed(self, pipeline_run, tmp_path, fixtures_dir, capsys):
+        code = main(["extract", "--config",
+                     self.config(tmp_path, fixtures_dir, "dan_seed=-1"),
+                     "--manifest", str(fixtures_dir / "filings.jsonl"),
+                     "--vocab", str(pipeline_run / "vocab.txt"),
+                     "--ckpt", str(pipeline_run / "pre.ckpt"),
+                     "--out", str(tmp_path / "x.jsonl")])
+        self.assert_config_error(code, capsys)
+
+    def test_negative_split_seed(self, pipeline_run, tmp_path, fixtures_dir, capsys):
+        code = main(["dataset", "--config", str(fixtures_dir / "fixture.cfg"),
+                     "--extracted", str(pipeline_run / "extracted.jsonl"),
+                     "--scores", str(fixtures_dir / "scores.csv"),
+                     "--task", "a", "--seed", "-1", "--out", str(tmp_path / "d")])
+        self.assert_config_error(code, capsys)
+
+    def test_negative_seed_for_a_fresh_model(self, pipeline_run, tmp_path,
+                                             fixtures_dir, capsys):
+        code = main(["finetune", "--config",
+                     self.config(tmp_path, fixtures_dir, "seed=-1"), "--fresh",
+                     "--data", str(pipeline_run / "data"), "--task", "a",
+                     "--out", str(tmp_path / "f.ckpt"),
+                     "--metrics", str(tmp_path / "m.json")])
+        self.assert_config_error(code, capsys)
+
+
 class TestPipelineArtifacts:
     def test_vocab_file_has_specials_first(self, pipeline_run):
         lines = (pipeline_run / "vocab.txt").read_text().splitlines()

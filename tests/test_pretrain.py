@@ -52,6 +52,14 @@ class TestMaskingConfig:
             MaskingConfig(replace_with_mask=0.7, replace_with_random=0.1,
                           keep_original=0.1)
 
+    @pytest.mark.parametrize("fractions", [
+        (math.nan, 0.1, 0.1), (1.5, -0.6, 0.1), (0.5, 0.5, math.nan)])
+    def test_each_fraction_in_unit_interval(self, fractions):
+        with pytest.raises(InvalidConfig):
+            MaskingConfig(replace_with_mask=fractions[0],
+                          replace_with_random=fractions[1],
+                          keep_original=fractions[2])
+
     def test_rate_bounds(self):
         with pytest.raises(InvalidConfig):
             MaskingConfig(mask_rate=1.0)
