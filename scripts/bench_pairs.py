@@ -13,13 +13,16 @@ is the `run_seconds` of the change's BENCHMARK.json.
 
 OUT gets, for the workload: every run's last line, and per end-to-end
 metric the median of each side, the parent's interquartile range, the
-ratio change/parent and the number of pairs the change won (ties count for
-neither side), plus the failed operations of each side.  `--traced` adds
-three `--trace 1` pairs at seeds N, N+1 and N+2, alternated the same way, and
-records every traced run plus, per per-layer metric, each side's median over
-them.  Entries OUT already holds for other workloads are kept, so one file
-can collect several workloads.  Uses only the standard library; it writes
-nothing but OUT.
+ratio change/parent, the number of pairs the change won (ties count for
+neither side) and `over_bound`: whether the change's median is worse than
+the parent's by more than the metric's `bound` times the parent's median.
+The workload's summary also lists the metrics over their bound, and the
+failed operations of each side.  `--traced` adds three `--trace 1` pairs
+at seeds N, N+1 and N+2, alternated the same way, and records every traced
+run plus, per per-layer metric, each side's median over them.  Entries
+OUT already holds for other workloads are kept, so one file can collect
+several workloads.  Uses only the standard library; it writes nothing but
+OUT.
 """
 
 from __future__ import annotations
@@ -99,7 +102,9 @@ def quartile_gap(values: list[float]) -> float:
 
 
 def summarize(runs: dict, end_to_end: list[dict]) -> dict:
-    """Per metric: medians, parent IQR, ratio and the change's pair wins."""
+    """Per metric: medians, parent IQR, ratio, the change's pair wins and
+    whether the change is worse than its bound allows; then the names of the
+    metrics over their bound and each side's failed operations."""
     out: dict = {}
     for metric in end_to_end:
         name, sign = metric["name"], (1 if metric["better"] == "higher" else -1)
@@ -109,14 +114,17 @@ def summarize(runs: dict, end_to_end: list[dict]) -> dict:
         if not pairs:
             continue
         parent, change = ([p[i] for p in pairs] for i in (0, 1))
+        p_med, c_med = statistics.median(parent), statistics.median(change)
         out[name] = {
-            "parent_median": statistics.median(parent),
-            "change_median": statistics.median(change),
-            "ratio": statistics.median(change) / statistics.median(parent),
+            "parent_median": p_med,
+            "change_median": c_med,
+            "ratio": c_med / p_med,
             "parent_iqr": quartile_gap(parent),
             "change_wins": sum(sign * (c - p) > 0 for p, c in pairs),
             "pairs": len(pairs),
+            "over_bound": sign * (p_med - c_med) > metric["bound"] * p_med,
         }
+    out["over_bound"] = [name for name, m in out.items() if m["over_bound"]]
     for side in SIDES:
         out[f"{side}_failed"] = sum(
             r["last_line"]["failed"] if r["last_line"] else 1 for r in runs[side])
@@ -169,7 +177,9 @@ def main(argv=None) -> int:
         "pair index. "
         "Medians over runs; parent_iqr is the distance between the parent's "
         "quartiles (inclusive method); change_wins counts the pairs in which "
-        "the change was better, ties counting for neither side.")
+        "the change was better, ties counting for neither side; over_bound "
+        "is true when the change's median is worse than the parent's by more "
+        "than the metric's BENCHMARK.json bound times the parent's median.")
     records = {side: next((r["record"] for r in runs[side] if r["record"]), None)
                for side in SIDES}
     if records["change"]:

@@ -17,7 +17,6 @@ from .tokenizer import pretokenize
 @dataclass(frozen=True)
 class CommonClassModel:
     predicted_class: str
-    class_counts: dict[str, int]
 
 
 def fit_predict_common_class(
@@ -33,7 +32,7 @@ def fit_predict_common_class(
     counts = Counter(train_labels)
     top = max(counts.values())
     predicted = min(label for label, c in counts.items() if c == top)
-    model = CommonClassModel(predicted_class=predicted, class_counts=dict(counts))
+    model = CommonClassModel(predicted_class=predicted)
     if not eval_labels:
         return model, 0.0
     accuracy = sum(1 for y in eval_labels if y == predicted) / len(eval_labels)

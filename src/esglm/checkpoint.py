@@ -36,8 +36,6 @@ FORMAT_VERSION = 1
 _DTYPES = {0: np.dtype("<f4")}
 _DTYPE_CODE = 0
 
-STAGES = ("pretrained", "finetuned_a", "finetuned_b", "fresh")
-
 
 @dataclass
 class CheckpointMeta:

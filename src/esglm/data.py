@@ -101,6 +101,9 @@ class LabeledExample:
             raise InvalidInput(
                 f"labels {self.task_a_label!r}, {self.task_b_label!r} are not "
                 f"in {TASK_A_CLASSES} and {TASK_B_CLASSES} or null")
+        if np.ndim(self.input_ids) != 1 or len(self.input_ids) < 3:
+            raise InvalidInput(f"input_ids of shape {np.shape(self.input_ids)} "
+                               "are not a flat list of at least 3 ids")
 
     def label(self, task: str) -> str:
         if task == "a":

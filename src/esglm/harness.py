@@ -7,7 +7,7 @@ between them is the starting weights.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -59,11 +59,12 @@ class Metrics:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Metrics":
-        return cls(
-            model_name=doc["model_name"], task=doc["task"],
-            splits={k: SplitMetrics(**v) for k, v in doc["splits"].items()},
-            config=doc.get("config", {}),
-        )
+        splits = {k: SplitMetrics(**v) for k, v in doc["splits"].items()}
+        for k in SPLIT_NAMES:  # the splits a report reads, each with numbers
+            s = splits[k]
+            splits[k] = SplitMetrics(float(s.accuracy), *map(int, astuple(s)[1:]))
+        return cls(model_name=doc["model_name"], task=doc["task"], splits=splits,
+                   config=doc.get("config", {}))
 
     def save(self, path) -> None:
         write_json(path, self.to_dict())
@@ -77,13 +78,6 @@ class Metrics:
             raise ParseError(f"{path}: {exc!r}") from None
 
 
-def _example_batch(examples: list[LabeledExample]):
-    """(ids, attention_mask), cut after the longest real sequence."""
-    ids = np.stack([e.input_ids for e in examples])
-    mask = (ids != 0).astype(np.int64)
-    return trim_batch(ids, mask)
-
-
 def predict_labels(
     params: ParameterSet,
     config: ModelConfig,
@@ -93,9 +87,9 @@ def predict_labels(
     preds = []
     for start in range(0, len(examples), _EVAL_BATCH):
         chunk = examples[start : start + _EVAL_BATCH]
-        ids, mask = _example_batch(chunk)
+        ids, mask = trim_batch(np.stack([e.input_ids for e in chunk]))
         hidden = encoder_forward(ids, mask, params, config)
-        logits = forward_classify(hidden, params)
+        logits, _ = forward_classify(hidden, params)
         preds.append(np.argmax(logits, axis=-1))
     return np.concatenate(preds)
 
@@ -192,9 +186,8 @@ def run_finetune(
     labels = np.array([e.label_index(task) for e in train])
 
     def step(take, rng, state):
-        ids, mask = _example_batch([train[i] for i in take])
-        loss, grads = compute_gradients((ids, mask, labels[take]), params,
-                                        config, "classify", rng=rng)
+        batch = (*trim_batch(np.stack([train[i].input_ids for i in take])), labels[take])
+        loss, grads = compute_gradients(batch, params, config, "classify", rng=rng)
         adam_step(params, grads, state, tc)
         return loss, grads
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBatch, InvalidConfig, NumericError, ShapeError
-from .tokenizer import EncodedInput
+from .tokenizer import PAD_ID
 
 LN_EPS = 1e-12
 IGNORE_INDEX = -100
@@ -464,27 +464,18 @@ def forward_mlm(hidden: np.ndarray, params: ParameterSet) -> np.ndarray:
     return logits
 
 
-def forward_classify(hidden: np.ndarray, params: ParameterSet) -> np.ndarray:
-    """CLS pooling (linear + tanh) followed by the 2-way classifier."""
+def forward_classify(hidden: np.ndarray, params: ParameterSet):
+    """CLS pooling (linear + tanh), then the 2-way classifier: (logits, pooled)."""
     w = params["pooler.w"]
     if hidden.shape[-1] != w.shape[0]:
         raise ShapeError(f"hidden dim {hidden.shape[-1]} != pooler dim {w.shape[0]}")
-    cls_h = hidden[..., 0, :]
-    pooled = np.tanh(cls_h @ w + params["pooler.b"])
-    return pooled @ params["cls.w"] + params["cls.b"]
-
-
-def cross_entropy(
-    logits: np.ndarray, targets: np.ndarray, ignore_index: int = IGNORE_INDEX
-) -> float:
-    """Mean -log softmax(logits)[target] over non-ignored positions."""
-    # a copy, as the loss works in the buffer it is given
-    loss, _ = _cross_entropy_with_grad(np.array(logits), targets, ignore_index)
-    return loss
+    pooled = np.tanh(hidden[..., 0, :] @ w + params["pooler.b"])
+    return pooled @ params["cls.w"] + params["cls.b"], pooled
 
 
 def _cross_entropy_with_grad(logits, targets, ignore_index=IGNORE_INDEX):
-    """(loss, dlogits); works in the logits buffer, which becomes dlogits."""
+    """(mean -log softmax(logits)[target] over non-ignored positions, dlogits);
+    works in the logits buffer, which becomes dlogits."""
     logits = np.asarray(logits)
     targets = np.asarray(targets)
     if logits.shape[:-1] != targets.shape:
@@ -552,15 +543,13 @@ def compute_gradients(
         grads["mlm_bias"] += dlogits.sum(axis=0)
         del picked, logits, dlogits  # not needed by the encoder backward
     else:
-        cls_h = hidden[:, 0, :]
-        pooled = np.tanh(cls_h @ params["pooler.w"] + params["pooler.b"])
-        logits = pooled @ params["cls.w"] + params["cls.b"]
+        logits, pooled = forward_classify(hidden, params)
         loss, dlogits = _cross_entropy_with_grad(logits, targets)
         grads["cls.w"] += pooled.T @ dlogits
         grads["cls.b"] += dlogits.sum(axis=0)
         dpooled = dlogits @ params["cls.w"].T
         dz = dpooled * (1.0 - pooled**2)
-        grads["pooler.w"] += cls_h.T @ dz
+        grads["pooler.w"] += hidden[:, 0, :].T @ dz
         grads["pooler.b"] += dz.sum(axis=0)
         dh[:, 0, :] = dz @ params["pooler.w"].T
 
@@ -570,20 +559,15 @@ def compute_gradients(
     return loss, grads
 
 
-def batch_arrays(inputs: list[EncodedInput]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack EncodedInputs into (ids, attention_mask) batch arrays."""
-    ids = np.stack([e.ids for e in inputs])
-    mask = np.stack([e.attention_mask for e in inputs])
-    return ids, mask
-
-
-def trim_batch(ids: np.ndarray, mask: np.ndarray, *rest: np.ndarray):
-    """Cut (B, S) batch arrays after the last column holding a real position.
+def trim_batch(ids: np.ndarray, *rest: np.ndarray):
+    """(ids, attention_mask, *rest) of (B, S) batch arrays, cut after the last
+    column holding a real position; the mask is ids != PAD_ID.
 
     Every later column is PAD in every row, and PAD keys get no attention,
     so real positions compute exactly what they would at full width.  A PAD
     inside a sequence is kept, and so is at least one column.
     """
-    real = np.flatnonzero(np.asarray(mask).any(axis=0))
+    real = np.flatnonzero((ids != PAD_ID).any(axis=0))
     width = int(real[-1]) + 1 if real.size else 1
-    return tuple(x[:, :width] for x in (ids, mask, *rest))
+    ids = ids[:, :width]
+    return (ids, (ids != PAD_ID).astype(np.int64), *(x[:, :width] for x in rest))

@@ -19,7 +19,6 @@ from .model import (
     ModelConfig,
     ParameterSet,
     TrainConfig,
-    batch_arrays,
     compute_gradients,
     trim_batch,
 )
@@ -28,6 +27,7 @@ from .tokenizer import (
     CLS_ID,
     MASK_ID,
     NUM_SPECIALS,
+    PAD_ID,
     SEP_ID,
     EncodedInput,
     Vocab,
@@ -60,14 +60,12 @@ class MaskingConfig:
 class MaskedBatch:
     """Corrupted inputs plus per-position original-id targets.
 
-    targets hold the original token id exactly where selection_mask is 1
-    and IGNORE_INDEX elsewhere; CLS/SEP/PAD are never selected.
+    targets hold the original token id at each selected position and
+    IGNORE_INDEX elsewhere; CLS/SEP/PAD are never selected.
     """
 
     input_ids: np.ndarray
-    attention_mask: np.ndarray
     targets: np.ndarray
-    selection_mask: np.ndarray
 
 
 def mask_batch(
@@ -84,8 +82,8 @@ def mask_batch(
     """
     if len(vocab) < NUM_SPECIALS + 1:
         raise InvalidConfig("vocab has no non-special tokens to sample from")
-    ids, attn = batch_arrays(batch)
-    eligible = (attn == 1) & (ids != CLS_ID) & (ids != SEP_ID)
+    ids = np.stack([e.ids for e in batch])
+    eligible = (ids != PAD_ID) & (ids != CLS_ID) & (ids != SEP_ID)
 
     selected = eligible & (rng.random(ids.shape) < mc.mask_rate)
     action = rng.random(ids.shape)
@@ -99,13 +97,8 @@ def mask_batch(
     corrupted[use_mask] = MASK_ID
     corrupted[use_random] = randoms[use_random]
 
-    targets = np.where(selected, ids, IGNORE_INDEX)
-    return MaskedBatch(
-        input_ids=corrupted,
-        attention_mask=attn,
-        targets=targets,
-        selection_mask=selected.astype(np.int64),
-    )
+    return MaskedBatch(input_ids=corrupted,
+                       targets=np.where(selected, ids, IGNORE_INDEX))
 
 
 def window_corpus(
@@ -154,9 +147,9 @@ def run_pretraining(
 
     def step(take, rng, state):
         mb = mask_batch([windows[i] for i in take], vocab, mc, rng)
-        if not mb.selection_mask.any():
+        if (mb.targets == IGNORE_INDEX).all():
             return None  # nothing to predict in this batch
-        batch = trim_batch(mb.input_ids, mb.attention_mask, mb.targets)
+        batch = trim_batch(mb.input_ids, mb.targets)
         loss, grads = compute_gradients(batch, params, config, "mlm", rng=rng)
         adam_step(params, grads, state, tc)
         return loss, grads

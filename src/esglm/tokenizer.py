@@ -80,10 +80,9 @@ class Vocab:
 
 @dataclass
 class EncodedInput:
-    """Fixed-length id sequence: [CLS] body [SEP] padding."""
+    """Fixed-length id sequence: [CLS] body [SEP] padding; only padding is PAD_ID."""
 
     ids: np.ndarray
-    attention_mask: np.ndarray
     real_len: int
 
 
@@ -274,14 +273,15 @@ def prepare_input(token_ids, max_seq_len: int = 512) -> EncodedInput:
     """Wrap ids as [CLS] + body + [SEP] and pad to exactly max_seq_len.
 
     The body keeps the head: ids beyond max_seq_len - 2 are dropped from
-    the tail.
+    the tail.  A PAD_ID in the body is an InvalidId: padding is read back
+    from the ids.
     """
     if max_seq_len < 3:
         raise InvalidConfig(f"max_seq_len {max_seq_len} < 3")
     body = list(token_ids)[: max_seq_len - 2]
+    if PAD_ID in body:
+        raise InvalidId(f"PAD id {PAD_ID} at body position {body.index(PAD_ID)}")
     real = [CLS_ID] + body + [SEP_ID]
     ids = np.full(max_seq_len, PAD_ID, dtype=np.int64)
     ids[: len(real)] = real
-    mask = np.zeros(max_seq_len, dtype=np.int64)
-    mask[: len(real)] = 1
-    return EncodedInput(ids=ids, attention_mask=mask, real_len=len(real))
+    return EncodedInput(ids=ids, real_len=len(real))

@@ -90,14 +90,14 @@ def test_criterion_2_masking_statistics():
     n_elig = n_sel = n_mask = n_rand = n_keep = n_special_sel = 0
     for _ in range(passes):
         mb = mask_batch(inputs, vocab, MaskingConfig(), rng)
-        sel = mb.selection_mask.astype(bool)
+        sel = mb.targets != IGNORE_INDEX
         n_elig += eligible_per_pass
         n_sel += int(sel.sum())
         n_mask += int((mb.input_ids[sel] == 4).sum())
         keep = mb.input_ids[sel] == originals[sel]
         n_keep += int(keep.sum())
         n_rand += int((~keep & (mb.input_ids[sel] != 4)).sum())
-        special = (originals < 5) | (mb.attention_mask == 0)
+        special = originals < 5  # PAD, CLS and SEP among them
         n_special_sel += int(sel[special].sum())
     assert n_elig >= 100_000
     sel_frac = n_sel / n_elig

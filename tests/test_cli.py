@@ -36,12 +36,14 @@ def assert_data_error(proc):
     assert "Traceback" not in proc.stderr
 
 
-def rewrite_jsonl(path, edit):
-    """Apply edit to the first record of a JSON Lines file, in place."""
+def rewrite_jsonl(path, edit, every=False):
+    """Apply edit to the first record of a JSON Lines file, or to every
+    record, in place."""
     lines = path.read_text(encoding="utf-8").splitlines()
-    rec = json.loads(lines[0])
-    edit(rec)
-    lines[0] = json.dumps(rec)
+    for i in range(len(lines) if every else 1):
+        rec = json.loads(lines[i])
+        edit(rec)
+        lines[i] = json.dumps(rec)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -422,6 +424,29 @@ class TestMalformedRecords:
         assert "test split" in proc.stderr
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("command", ["finetune", "evaluate"])
+    @pytest.mark.parametrize("input_ids", [[], [[2, 3], [0, 0]]],
+                             ids=["empty", "nested"])
+    def test_split_with_malformed_input_ids(self, pipeline_run, tmp_path,
+                                            fixtures_dir, command, input_ids):
+        data = copy_data(pipeline_run, tmp_path)
+        rewrite_jsonl(data / "train.jsonl",
+                      lambda rec: rec.update(input_ids=input_ids), every=True)
+        if command == "finetune":
+            args = ("--config", fixtures_dir / "fixture.cfg", "--fresh",
+                    "--task", "a", "--out", tmp_path / "f.ckpt")
+        else:
+            params, config, _ = load_checkpoint(pipeline_run / "pre.ckpt")
+            fin = tmp_path / "fin.ckpt"
+            save_checkpoint(params, config,
+                            CheckpointMeta(stage="finetuned_a", seed=0), fin)
+            args = ("--ckpt", fin)
+        proc = run_cli(command, *args, "--data", data,
+                       "--metrics", tmp_path / "m.json")
+        assert_data_error(proc)
+        assert "train.jsonl: line 1" in proc.stderr
+        assert not (tmp_path / "m.json").exists()
+
     def test_metrics_without_task(self, pipeline_run, tmp_path):
         m = tmp_path / "m.json"
         assert main(["baseline", "--data", str(pipeline_run / "data"),
@@ -432,6 +457,22 @@ class TestMalformedRecords:
         proc = run_cli("report", "--metrics", m, "--task", "a",
                        "--out", tmp_path / "r")
         assert_data_error(proc)
+
+    @pytest.mark.parametrize("edit", [
+        lambda splits: splits.pop("validation"),
+        lambda splits: splits["train"].update(accuracy="high"),
+    ], ids=["no_validation", "text_accuracy"])
+    def test_malformed_metrics_splits(self, pipeline_run, tmp_path, edit):
+        m = tmp_path / "m.json"
+        assert main(["baseline", "--data", str(pipeline_run / "data"),
+                     "--model", "common", "--metrics", str(m)]) == 0
+        doc = json.loads(m.read_text())
+        edit(doc["splits"])
+        m.write_text(json.dumps(doc))
+        proc = run_cli("report", "--metrics", m, "--task", "a",
+                       "--out", tmp_path / "r")
+        assert_data_error(proc)
+        assert not (tmp_path / "r").exists()
 
 
 def test_failed_extract_leaves_previous_output(pipeline_run, tmp_path,

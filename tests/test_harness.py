@@ -8,7 +8,6 @@ from esglm.data import LabeledExample
 from esglm.errors import CheckpointMismatch, EmptySplit, InvalidConfig
 from esglm.harness import (
     Metrics,
-    _example_batch,
     SplitMetrics,
     confusion,
     emit_report,
@@ -25,6 +24,7 @@ from esglm.model import (
     encoder_forward,
     forward_classify,
     init_params,
+    trim_batch,
 )
 from esglm.optim import OptimizerState, adam_step
 from esglm.tokenizer import prepare_input
@@ -86,7 +86,7 @@ class TestEvaluate:
         # reference: one full-width forward over all 16 columns
         ids = np.stack([e.input_ids for e in wide])
         hidden = encoder_forward(ids, (ids != 0).astype(np.int64), params, CFG)
-        want = np.argmax(forward_classify(hidden, params), axis=-1)
+        want = np.argmax(forward_classify(hidden, params)[0], axis=-1)
         assert len(set(want)) == 2
         np.testing.assert_array_equal(predict_labels(params, CFG, narrow), want)
         np.testing.assert_array_equal(predict_labels(params, CFG, wide), want)
@@ -180,7 +180,7 @@ def _reference_finetune(params, config, train, task, tc):
         losses = []
         for start in range(0, len(train), tc.batch_size):
             take = order[start : start + tc.batch_size]
-            ids, mask = _example_batch([train[i] for i in take])
+            ids, mask = trim_batch(np.stack([train[i].input_ids for i in take]))
             loss, grads = compute_gradients(
                 (ids, mask, labels[take]), params, config, "classify", rng=rng,
             )
@@ -219,7 +219,7 @@ class TestTiedWeights:
         targets[0, 3] = 9
         for _ in range(3):
             _, grads = compute_gradients(
-                (enc.ids[None], enc.attention_mask[None], targets),
+                trim_batch(enc.ids[None], targets),
                 params, CFG, "mlm",
             )
             adam_step(params, grads, state, TrainConfig(learning_rate=1e-3))

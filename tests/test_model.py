@@ -8,9 +8,7 @@ from esglm.errors import EmptyBatch, InvalidConfig, NumericError, ShapeError
 from esglm.model import (
     IGNORE_INDEX,
     ModelConfig,
-    batch_arrays,
     compute_gradients,
-    cross_entropy,
     encoder_backward,
     encoder_forward,
     forward_classify,
@@ -31,7 +29,7 @@ from esglm.model import (
     _merge_heads,
     _split_heads,
 )
-from esglm.tokenizer import prepare_input
+from esglm.tokenizer import PAD_ID, prepare_input
 
 TINY = ModelConfig(
     vocab_size=16, hidden_dim=8, num_layers=1, num_heads=2,
@@ -43,8 +41,19 @@ def tiny_params(seed=0, dtype=np.float64):
     return init_params(TINY, seed=seed, dtype=dtype)
 
 
+def stack(inputs):
+    """Full-width (ids, attention_mask) of EncodedInputs."""
+    ids = np.stack([e.ids for e in inputs])
+    return ids, (ids != PAD_ID).astype(np.int64)
+
+
 def encode_one(enc, params):
-    return encoder_forward(enc.ids[None], enc.attention_mask[None], params, TINY)[0]
+    return encoder_forward(*stack([enc]), params, TINY)[0]
+
+
+def ce_loss(logits, targets):
+    """The mean cross-entropy, from a copy: the loss works in its buffer."""
+    return model._cross_entropy_with_grad(np.array(logits), targets)[0]
 
 
 def random_batch(rng, config, batch_size=2, body_lens=(5, 8)):
@@ -55,7 +64,7 @@ def random_batch(rng, config, batch_size=2, body_lens=(5, 8)):
         )
         for n in body_lens[:batch_size]
     ]
-    return batch_arrays(inputs)
+    return stack(inputs)
 
 
 class TestConfigValidation:
@@ -134,10 +143,7 @@ class TestForwardEncoder:
         for m in ("wq", "wk"):
             params[f"layers.0.attn.{m}"][:] = 0.0
         enc = prepare_input([6, 7, 8], max_seq_len=10)
-        _, cache = encoder_forward(
-            enc.ids[None], enc.attention_mask[None], params, TINY,
-            want_cache=True,
-        )
+        _, cache = encoder_forward(*stack([enc]), params, TINY, want_cache=True)
         probs = cache["layers"][0]["probs"][0]  # (heads, query, key)
         n_real = enc.real_len
         expect = np.zeros(10)
@@ -198,7 +204,7 @@ class TestForwardEncoder:
         params = tiny_params()
         params["pooler.w"][0, 0] = np.nan
         enc = prepare_input([5], max_seq_len=8)
-        batch = (enc.ids[None], enc.attention_mask[None], np.array([1]))
+        batch = (*stack([enc]), np.array([1]))
         with pytest.raises(NumericError):
             compute_gradients(batch, params, TINY, "classify")
 
@@ -279,17 +285,20 @@ class TestHeads:
         params["cls.w"][:] = 0.0
         params["cls.b"][:] = 0.0
         enc = prepare_input([5, 6, 7], max_seq_len=12)
-        logits = forward_classify(encode_one(enc, params), params)
+        logits, pooled = forward_classify(encode_one(enc, params), params)
         np.testing.assert_array_equal(logits, [0.0, 0.0])
+        np.testing.assert_array_equal(pooled, np.zeros(TINY.hidden_dim))
 
     def test_classify_sees_only_cls_position(self):
         params = tiny_params()
         rng = np.random.default_rng(4)
         hidden = rng.normal(size=(3, 12, TINY.hidden_dim))
-        logits = forward_classify(hidden, params)
+        logits, pooled = forward_classify(hidden, params)
         hidden2 = hidden.copy()
         hidden2[:, 1:, :] = rng.normal(size=(3, 11, TINY.hidden_dim))
-        np.testing.assert_array_equal(logits, forward_classify(hidden2, params))
+        logits2, pooled2 = forward_classify(hidden2, params)
+        np.testing.assert_array_equal(logits, logits2)
+        np.testing.assert_array_equal(pooled, pooled2)
 
     def test_classify_one_dim_toy(self):
         cfg = ModelConfig(vocab_size=6, hidden_dim=1, num_layers=1,
@@ -301,19 +310,20 @@ class TestHeads:
         params["cls.w"][:] = np.array([[1.0, -1.0]])
         params["cls.b"][:] = 0.0
         hidden = np.array([[0.5], [9.9], [9.9]])
-        logits = forward_classify(hidden, params)
+        logits, pooled = forward_classify(hidden, params)
         t = math.tanh(0.5)
+        np.testing.assert_allclose(pooled, [t], atol=1e-12)
         np.testing.assert_allclose(logits, [t, -t], atol=1e-12)
 
 
 class TestCrossEntropy:
     def test_uniform_two_way(self):
-        assert cross_entropy(np.array([[0.0, 0.0]]), np.array([0])) == pytest.approx(
+        assert ce_loss(np.array([[0.0, 0.0]]), np.array([0])) == pytest.approx(
             math.log(2), abs=1e-12
         )
 
     def test_huge_logits_no_overflow(self):
-        loss = cross_entropy(np.array([[1000.0, 0.0]]), np.array([0]))
+        loss = ce_loss(np.array([[1000.0, 0.0]]), np.array([0]))
         assert loss == pytest.approx(0.0, abs=1e-12)
         assert math.isfinite(loss)
 
@@ -321,12 +331,12 @@ class TestCrossEntropy:
         logits = np.array([[2.0, 1.0], [0.0, 1.0]])
         targets = np.array([0, IGNORE_INDEX])
         expect = -math.log(math.exp(2) / (math.exp(2) + math.exp(1)))
-        assert cross_entropy(logits, targets) == pytest.approx(expect, abs=1e-9)
+        assert ce_loss(logits, targets) == pytest.approx(expect, abs=1e-9)
         assert expect == pytest.approx(0.313262, abs=1e-6)
 
     def test_all_ignored_raises(self):
         with pytest.raises(EmptyBatch):
-            cross_entropy(np.zeros((2, 3)), np.full(2, IGNORE_INDEX))
+            ce_loss(np.zeros((2, 3)), np.full(2, IGNORE_INDEX))
 
     @staticmethod
     def logits_and_targets(dtype):
@@ -345,15 +355,9 @@ class TestCrossEntropy:
         buf = logits.copy()
         loss, dlogits = model._cross_entropy_with_grad(buf, targets)
         assert np.shares_memory(dlogits, buf)  # built in the logits buffer
-        assert loss == want_loss and cross_entropy(logits, targets) == want_loss
+        assert loss == want_loss
         assert dlogits.dtype == dtype
         assert dlogits.tobytes() == want.tobytes()
-
-    def test_public_loss_leaves_its_argument_alone(self):
-        logits, targets = self.logits_and_targets(np.float32)
-        before = logits.tobytes()
-        cross_entropy(logits, targets)
-        assert logits.tobytes() == before
 
 
 def _reference_cross_entropy(logits, targets, ignore_index=IGNORE_INDEX):
@@ -389,8 +393,8 @@ def _flat_loss(params, config, batch, objective):
     ids, mask, targets = batch
     hidden = encoder_forward(ids, mask, params, config)
     if objective == "mlm":
-        return cross_entropy(forward_mlm(hidden, params), targets)
-    return cross_entropy(forward_classify(hidden, params), targets)
+        return ce_loss(forward_mlm(hidden, params), targets)
+    return ce_loss(forward_classify(hidden, params)[0], targets)
 
 
 def spread_params(config, seed, dtype=np.float64):
@@ -498,7 +502,7 @@ class TestGradients:
         rng = np.random.default_rng(8)
         params = tiny_params()
         enc = prepare_input([5, 6, 7], max_seq_len=12)  # real_len 5
-        ids, mask = batch_arrays([enc])
+        ids, mask = stack([enc])
         targets = np.full(ids.shape, IGNORE_INDEX)
         targets[0, 2] = 9
         _, grads = compute_gradients((ids, mask, targets), params, TINY, "mlm")
@@ -510,7 +514,7 @@ class TestGradients:
                           dropout_rate=0.3)
         params = init_params(cfg, seed=1, dtype=np.float64)
         enc = prepare_input([5, 6, 7, 8], max_seq_len=12)
-        ids, mask = batch_arrays([enc])
+        ids, mask = stack([enc])
         labels = np.array([1])
         loss1, _ = compute_gradients(
             (ids, mask, labels), params, cfg, "classify",
@@ -574,15 +578,19 @@ class TestTrimBatch:
     def test_cuts_after_the_last_real_column_and_keeps_interior_pad(self):
         ids = np.array([[2, 5, 0, 6, 3, 0, 0],
                         [2, 7, 3, 0, 0, 0, 0]])
-        mask = (ids != 0).astype(np.int64)
+        mask = np.array([[1, 1, 0, 1, 1],
+                         [1, 1, 1, 0, 0]])
         targets = np.where(ids == 6, 6, IGNORE_INDEX)
-        got = trim_batch(ids, mask, targets)
-        for cut, full in zip(got, (ids, mask, targets)):
-            np.testing.assert_array_equal(cut, full[:, :5])
+        got = trim_batch(ids, targets)
+        assert len(got) == 3 and got[1].dtype == np.int64
+        for cut, want in zip(got, (ids[:, :5], mask, targets[:, :5])):
+            np.testing.assert_array_equal(cut, want)
 
     def test_keeps_one_column_when_nothing_is_real(self):
         ids = np.zeros((2, 4), dtype=np.int64)
-        assert [x.shape for x in trim_batch(ids, ids)] == [(2, 1), (2, 1)]
+        got = trim_batch(ids, ids)
+        assert [x.shape for x in got] == [(2, 1)] * 3
+        assert not got[1].any()
 
     @pytest.mark.parametrize("objective", ["mlm", "classify"])
     def test_trimmed_batch_matches_full_width(self, objective):
@@ -591,10 +599,10 @@ class TestTrimBatch:
         ids, mask = random_batch(rng, TINY, body_lens=(3, 6))
         if objective == "mlm":
             targets = mlm_targets(rng, ids, mask)
-            trimmed = trim_batch(ids, mask, targets)
+            trimmed = trim_batch(ids, targets)
         else:
             targets = np.array([1, 0])
-            trimmed = (*trim_batch(ids, mask), targets)
+            trimmed = (*trim_batch(ids), targets)
         assert trimmed[0].shape == (2, 8) and ids.shape == (2, TINY.max_seq_len)
 
         loss, grads = compute_gradients(trimmed, params, TINY, objective)
@@ -709,7 +717,7 @@ def drop_batch(objective):
     rng = np.random.default_rng(21)
     inputs = [prepare_input(rng.integers(5, DROP.vocab_size, size=n).tolist(),
                             max_seq_len=DROP.max_seq_len) for n in (22, 9, 4)]
-    ids, mask = batch_arrays(inputs)
+    ids, mask = stack(inputs)
     if objective == "mlm":
         targets = np.where((mask == 1) & (rng.random(ids.shape) < 0.3),
                            ids, IGNORE_INDEX)

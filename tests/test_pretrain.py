@@ -10,7 +10,6 @@ from esglm.model import (
     ModelConfig,
     TrainConfig,
     compute_gradients,
-    cross_entropy,
     encoder_forward,
     forward_mlm,
     init_params,
@@ -32,6 +31,7 @@ from esglm.tokenizer import (
     Vocab,
     prepare_input,
 )
+from test_model import ce_loss
 
 VOCAB = Vocab.from_tokens(
     ["[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"]
@@ -74,28 +74,25 @@ class TestMaskBatch:
         for i, enc in enumerate(inputs):
             np.testing.assert_array_equal(mb.input_ids[i], enc.ids)
         assert np.all(mb.targets == IGNORE_INDEX)
-        assert not mb.selection_mask.any()
 
     def test_specials_never_selected(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             inputs = some_inputs(rng, n=3)
             mb = mask_batch(inputs, VOCAB, MaskingConfig(mask_rate=0.9), rng)
-            ids, attn = mb.input_ids, mb.attention_mask
-            sel = mb.selection_mask.astype(bool)
+            sel = mb.targets != IGNORE_INDEX
             originals = np.stack([e.ids for e in inputs])
             assert not sel[originals == CLS_ID].any()
             assert not sel[originals == SEP_ID].any()
-            assert not sel[attn == 0].any()
+            assert not sel[originals == PAD_ID].any()
 
     def test_targets_align_with_selection(self):
         rng = np.random.default_rng(2)
         inputs = some_inputs(rng)
         mb = mask_batch(inputs, VOCAB, MaskingConfig(), rng)
-        sel = mb.selection_mask.astype(bool)
+        sel = mb.targets != IGNORE_INDEX
         originals = np.stack([e.ids for e in inputs])
         assert np.all(mb.targets[sel] == originals[sel])
-        assert np.all(mb.targets[~sel] == IGNORE_INDEX)
         # corrupted ids differ only at selected positions
         changed = mb.input_ids != originals
         assert np.all(sel[changed])
@@ -113,7 +110,7 @@ class TestMaskBatch:
         n_sel = n_mask = n_rand = n_keep = n_elig = 0
         for _ in range(reps):
             mb = mask_batch(inputs, VOCAB, MaskingConfig(), rng)
-            sel = mb.selection_mask.astype(bool)
+            sel = mb.targets != IGNORE_INDEX
             originals = np.stack([e.ids for e in inputs])
             n_elig += eligible
             n_sel += int(sel.sum())
@@ -178,8 +175,9 @@ class TestRunPretraining:
         params = init_params(CFG, seed=0, dtype=np.float64)
         windows = window_corpus(_repetitive_corpus(40), VOCAB, CFG.max_seq_len)
         mb = mask_batch(windows, VOCAB, MaskingConfig(), rng)
-        hidden = encoder_forward(mb.input_ids, mb.attention_mask, params, CFG)
-        loss = cross_entropy(forward_mlm(hidden, params), mb.targets)
+        ids, mask, targets = trim_batch(mb.input_ids, mb.targets)
+        hidden = encoder_forward(ids, mask, params, CFG)
+        loss = ce_loss(forward_mlm(hidden, params), targets)
         assert abs(loss - math.log(CFG.vocab_size)) < 0.15 * math.log(CFG.vocab_size)
 
     def test_loss_decreases_over_first_epochs(self):
@@ -209,22 +207,24 @@ class TestRunPretraining:
         inputs = some_inputs(rng, n=30, body=40, max_seq_len=48)
         mb1 = mask_batch(inputs, VOCAB, MaskingConfig(), rng)
         mb2 = mask_batch(inputs, VOCAB, MaskingConfig(), rng)
-        assert mb1.selection_mask.sum() > 0
-        assert not np.array_equal(mb1.selection_mask, mb2.selection_mask)
+        sel1, sel2 = (mb.targets != IGNORE_INDEX for mb in (mb1, mb2))
+        assert sel1.sum() > 0
+        assert not np.array_equal(sel1, sel2)
 
     def test_ignored_positions_contribute_nothing(self):
         rng = np.random.default_rng(6)
         inputs = some_inputs(rng, n=2)
         mb = mask_batch(inputs, VOCAB, MaskingConfig(mask_rate=0.4), rng)
-        assert mb.selection_mask.any()
+        ids, mask, targets = trim_batch(mb.input_ids, mb.targets)
+        assert np.any(targets != IGNORE_INDEX)
         params = init_params(CFG, seed=2, dtype=np.float64)
-        hidden = encoder_forward(mb.input_ids, mb.attention_mask, params, CFG)
+        hidden = encoder_forward(ids, mask, params, CFG)
         logits = forward_mlm(hidden, params)
-        loss = cross_entropy(logits, mb.targets)
+        loss = ce_loss(logits, targets)
         # wrecking the predictions at IGNORE positions changes nothing
         wrecked = logits.copy()
-        wrecked[mb.targets == IGNORE_INDEX] = 1e6
-        assert cross_entropy(wrecked, mb.targets) == loss
+        wrecked[targets == IGNORE_INDEX] = 1e6
+        assert ce_loss(wrecked, targets) == loss
 
     def test_matches_the_inline_epoch_loop_bit_for_bit(self):
         # float32 with dropout, and a mask rate low enough that some batches
@@ -272,11 +272,11 @@ def _reference_pretraining(corpus_docs, vocab, params, config, tc, mc):
         for start in range(0, len(windows), tc.batch_size):
             chunk = [windows[i] for i in order[start : start + tc.batch_size]]
             mb = mask_batch(chunk, vocab, mc, rng)
-            if not mb.selection_mask.any():
+            if np.all(mb.targets == IGNORE_INDEX):
                 skipped += 1
                 continue
             loss, grads = compute_gradients(
-                trim_batch(mb.input_ids, mb.attention_mask, mb.targets),
+                trim_batch(mb.input_ids, mb.targets),
                 params, config, "mlm", rng=rng,
             )
             adam_step(params, grads, state, tc)

@@ -1,11 +1,11 @@
-import numpy as np
 import pytest
 from collections import Counter
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from esglm.errors import InvalidConfig, InvalidId, InvalidInput
+from esglm.model import trim_batch
 from esglm.tokenizer import (
     CLS_ID,
     NUM_SPECIALS,
@@ -355,12 +355,38 @@ class TestRoundTripLaw:
         assert decode(encode(s, v), v) == _expected_round_trip(s, v)
 
 
+# letters mixed with brackets, hashes and the spellings of the PAD token
+PAD_LOOKALIKES = st.lists(
+    st.sampled_from(["[PAD]", "[pad]", "##pad", "[", "]", "#", "pad", "P", "a",
+                     "d", "x", " "]),
+    max_size=30,
+).map("".join)
+
+
+class TestEncodeNeverEmitsPad:
+    HAND_BUILT = make_vocab("[", "pad", "]", "##pad", "[pad]", "#", "x", "##a")
+
+    @given(PAD_LOOKALIKES)
+    @example("[PAD] [pad]##pad [[pad]] #pad")
+    @settings(max_examples=150, deadline=None)
+    def test_hand_built_and_trained_vocabs(self, text):
+        assert PAD_ID not in encode(text, self.HAND_BUILT)
+        assume(text.strip())
+        trained = train_vocab([text], target_size=200, min_freq=1)
+        assert PAD_ID not in encode(text, trained)
+
+
 class TestPrepareInput:
     def test_padding_case(self):
         out = prepare_input([10, 11, 12], max_seq_len=8)
         assert out.ids.tolist() == [CLS_ID, 10, 11, 12, SEP_ID, PAD_ID, PAD_ID, PAD_ID]
-        assert out.attention_mask.tolist() == [1, 1, 1, 1, 1, 0, 0, 0]
         assert out.real_len == 5
+
+    def test_pad_id_in_body_rejected(self):
+        with pytest.raises(InvalidId):
+            prepare_input([10, PAD_ID, 12], max_seq_len=8)
+        # a PAD beyond the kept head is dropped with the tail
+        assert prepare_input([10, 11, PAD_ID], max_seq_len=4).real_len == 4
 
     def test_truncates_tail_at_512(self):
         ids = list(range(10, 610))
@@ -385,9 +411,11 @@ class TestPrepareInput:
     def test_length_and_mask_invariants(self, ids, max_len):
         out = prepare_input(ids, max_seq_len=max_len)
         assert len(out.ids) == max_len
-        assert int(out.attention_mask.sum()) == out.real_len == min(len(ids) + 2, max_len)
-        # mask is a prefix of ones
-        diffs = np.diff(out.attention_mask)
-        assert np.all(diffs <= 0)
+        real = out.ids != PAD_ID
+        assert int(real.sum()) == out.real_len == min(len(ids) + 2, max_len)
+        assert real[: out.real_len].all()  # a prefix of real_len ones
         assert out.ids[0] == CLS_ID
         assert out.ids[out.real_len - 1] == SEP_ID
+        trimmed, mask = trim_batch(out.ids[None])
+        assert trimmed.shape == mask.shape == (1, out.real_len)
+        assert mask.all()
