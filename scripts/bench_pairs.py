@@ -12,12 +12,15 @@ is the `run_seconds` of the change's BENCHMARK.json.
         --pairs 10 --out BENCH_7.json [--first-seed N] [--traced]
 
 OUT gets, for the workload: every run's last line, and per end-to-end
-metric the median of each side, the parent's interquartile range, the
-ratio change/parent, the number of pairs the change won (ties count for
-neither side) and `over_bound`: whether the change's median is worse than
-the parent's by more than the metric's `bound` times the parent's median.
-The workload's summary also lists the metrics over their bound, and the
-failed operations of each side.  `--traced` adds three `--trace 1` pairs
+metric the median and interquartile range of each side, the ratio
+change/parent, the number of pairs the change won (ties count for neither
+side), `over_bound`: whether the change's median is worse than the
+parent's by more than the metric's `bound` times the parent's median, and
+`unresolved`: whether either side's interquartile range is wider than that
+same allowance, so that the pairs cannot tell a change within the bound
+from one past it, unless every change run is better than every parent
+run.  The workload's summary also lists the metrics over their bound, the
+unresolved ones, and the failed operations of each side.  `--traced` adds three `--trace 1` pairs
 at seeds N, N+1 and N+2, alternated the same way, and records every traced
 run plus, per per-layer metric, each side's median over them.  Entries
 OUT already holds for other workloads are kept, so one file can collect
@@ -102,9 +105,10 @@ def quartile_gap(values: list[float]) -> float:
 
 
 def summarize(runs: dict, end_to_end: list[dict]) -> dict:
-    """Per metric: medians, parent IQR, ratio, the change's pair wins and
-    whether the change is worse than its bound allows; then the names of the
-    metrics over their bound and each side's failed operations."""
+    """Per metric: medians, IQRs, ratio, the change's pair wins, whether the
+    change is worse than its bound allows and whether the spread leaves that
+    unresolved; then the names of the metrics over their bound, the
+    unresolved ones and each side's failed operations."""
     out: dict = {}
     for metric in end_to_end:
         name, sign = metric["name"], (1 if metric["better"] == "higher" else -1)
@@ -115,16 +119,23 @@ def summarize(runs: dict, end_to_end: list[dict]) -> dict:
             continue
         parent, change = ([p[i] for p in pairs] for i in (0, 1))
         p_med, c_med = statistics.median(parent), statistics.median(change)
+        allowed = metric["bound"] * p_med
+        p_iqr, c_iqr = quartile_gap(parent), quartile_gap(change)
+        all_better = min(sign * c for c in change) > max(sign * p for p in parent)
         out[name] = {
             "parent_median": p_med,
             "change_median": c_med,
             "ratio": c_med / p_med,
-            "parent_iqr": quartile_gap(parent),
+            "parent_iqr": p_iqr,
+            "change_iqr": c_iqr,
             "change_wins": sum(sign * (c - p) > 0 for p, c in pairs),
             "pairs": len(pairs),
-            "over_bound": sign * (p_med - c_med) > metric["bound"] * p_med,
+            "over_bound": sign * (p_med - c_med) > allowed,
+            "unresolved": max(p_iqr, c_iqr) > allowed and not all_better,
         }
-    out["over_bound"] = [name for name, m in out.items() if m["over_bound"]]
+    metrics = dict(out)
+    for flag in ("over_bound", "unresolved"):
+        out[flag] = [name for name, m in metrics.items() if m[flag]]
     for side in SIDES:
         out[f"{side}_failed"] = sum(
             r["last_line"]["failed"] if r["last_line"] else 1 for r in runs[side])
@@ -179,7 +190,10 @@ def main(argv=None) -> int:
         "quartiles (inclusive method); change_wins counts the pairs in which "
         "the change was better, ties counting for neither side; over_bound "
         "is true when the change's median is worse than the parent's by more "
-        "than the metric's BENCHMARK.json bound times the parent's median.")
+        "than the metric's BENCHMARK.json bound times the parent's median; "
+        "unresolved is true when the parent_iqr or change_iqr is wider than "
+        "that bound times the parent's median, unless every change run is "
+        "better than every parent run.")
     records = {side: next((r["record"] for r in runs[side] if r["record"]), None)
                for side in SIDES}
     if records["change"]:

@@ -92,6 +92,9 @@ def load_checkpoint(path) -> tuple[ParameterSet, ModelConfig, CheckpointMeta]:
             meta = CheckpointMeta(**doc)
         except (AttributeError, ValueError, KeyError, TypeError) as exc:
             raise CorruptCheckpoint(f"{path}: bad metadata: {exc}") from None
+        if not (isinstance(meta.stage, str) and type(meta.seed) is int
+                and isinstance(meta.train_config, (dict, type(None)))):
+            raise CorruptCheckpoint(f"{path}: bad metadata types: {meta}")
 
         (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
         tensors: dict[str, np.ndarray] = {}

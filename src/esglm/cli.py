@@ -16,6 +16,7 @@ import argparse
 import ctypes
 import sys
 from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +38,10 @@ from .extract import (
 from .harness import (
     SPLIT_NAMES,
     Metrics,
-    confusion,
+    check_inputs,
     emit_report,
     evaluate_all,
+    predict_labels,
     run_finetune,
 )
 from .model import ModelConfig, TrainConfig, init_params
@@ -92,10 +94,13 @@ class PipelineConfig:
     def __post_init__(self):
         if self.seq_len < 3:  # [CLS], one token, [SEP]
             raise InvalidConfig(f"seq_len must be >= 3, got {self.seq_len}")
-        for name in ("seed", "dan_seed"):
+        for name, least in (("seed", 0), ("dan_seed", 0), ("dan_dim", 0),
+                            ("delta_bins", 1), ("sentlen_bin_width", 1)):
             value = getattr(self, name)
-            if value < 0:
-                raise InvalidConfig(f"{name} must be >= 0, got {value}")
+            if value < least:
+                raise InvalidConfig(f"{name} must be >= {least}, got {value}")
+        if self.split_mode == "temporal" and self.group_by_ticker:
+            raise InvalidConfig("group_by_ticker needs split_mode=stratified")
 
 
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False}
@@ -344,7 +349,9 @@ def cmd_finetune(args, cfg: PipelineConfig) -> int:
 def cmd_baseline(args, cfg: PipelineConfig) -> int:
     meta, splits = data.load_dataset_splits(args.data)
     task = meta.get("task", args.task)
-    classes = data.TASK_A_CLASSES if task == "a" else data.TASK_B_CLASSES
+    if task not in data.TASK_CLASSES:
+        raise DataError(f"{args.data}: meta.json task {task!r} is not 'a' or 'b'")
+    classes = data.TASK_CLASSES[task]
     if args.model == "common":
         train_labels = [e.label(task) for e in splits["train"]]
         model, _ = baselines.fit_predict_common_class(train_labels, train_labels)
@@ -361,16 +368,8 @@ def cmd_baseline(args, cfg: PipelineConfig) -> int:
 
         def predict(example):
             return baselines.predict(model, baselines.word_bag(example.text))
-    metrics = Metrics(
-        model_name=name, task=task, config=echo,
-        splits={
-            split: confusion(
-                [classes.index(predict(e)) for e in examples],
-                [e.label_index(task) for e in examples],
-            )
-            for split, examples in splits.items()
-        },
-    )
+    metrics = evaluate_all(lambda batch: [classes.index(predict(e)) for e in batch],
+                           splits, task, name, echo)
     metrics.save(args.metrics)
     _print_accuracies("baseline", metrics)
     return 0
@@ -378,7 +377,7 @@ def cmd_baseline(args, cfg: PipelineConfig) -> int:
 
 def cmd_evaluate(args, cfg: PipelineConfig) -> int:
     params, config, ck_meta = load_checkpoint(args.ckpt)
-    if not ck_meta.stage.startswith("finetuned_"):
+    if ck_meta.stage not in ("finetuned_a", "finetuned_b"):
         raise CheckpointMismatch(
             f"evaluate needs a finetuned checkpoint, got stage {ck_meta.stage!r}"
         )
@@ -388,10 +387,9 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
         raise CheckpointMismatch(
             f"dataset task {meta.get('task')!r} != checkpoint task {task!r}"
         )
-    metrics = evaluate_all(
-        params, config, splits, task, args.name,
-        {"checkpoint": str(args.ckpt)},
-    )
+    check_inputs(config, splits)
+    metrics = evaluate_all(partial(predict_labels, params, config), splits, task,
+                           args.name, {"checkpoint": str(args.ckpt)})
     metrics.save(args.metrics)
     _print_accuracies("evaluate", metrics)
     return 0

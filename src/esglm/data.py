@@ -29,9 +29,11 @@ from .errors import (
     ParseError,
     StratificationError,
 )
+from .tokenizer import PAD_ID
 
 TASK_A_CLASSES = ("no_change", "change")
 TASK_B_CLASSES = ("negative", "positive")
+TASK_CLASSES = {"a": TASK_A_CLASSES, "b": TASK_B_CLASSES}
 
 SPLIT_NAMES = ("train", "validation", "test")
 # file stem of each split; val.jsonl holds the validation split
@@ -101,9 +103,7 @@ class LabeledExample:
             raise InvalidInput(
                 f"labels {self.task_a_label!r}, {self.task_b_label!r} are not "
                 f"in {TASK_A_CLASSES} and {TASK_B_CLASSES} or null")
-        if np.ndim(self.input_ids) != 1 or len(self.input_ids) < 3:
-            raise InvalidInput(f"input_ids of shape {np.shape(self.input_ids)} "
-                               "are not a flat list of at least 3 ids")
+        _checked_input_ids(self.input_ids, self.real_len)
 
     def label(self, task: str) -> str:
         if task == "a":
@@ -113,8 +113,16 @@ class LabeledExample:
         return self.task_b_label
 
     def label_index(self, task: str) -> int:
-        classes = TASK_A_CLASSES if task == "a" else TASK_B_CLASSES
-        return classes.index(self.label(task))
+        return TASK_CLASSES[task].index(self.label(task))
+
+
+def _checked_input_ids(ids: np.ndarray, real_len: int) -> np.ndarray:
+    """ids, if flat, at least 3 long and PAD exactly from real_len on."""
+    if (np.ndim(ids) != 1 or len(ids) < max(real_len, 3)
+            or not np.array_equal(ids != PAD_ID, np.arange(len(ids)) < real_len)):
+        raise InvalidInput(f"input_ids of shape {np.shape(ids)} are not >= 3 flat ids "
+                           f"with PAD ({PAD_ID}) exactly from real_len {real_len} on")
+    return ids
 
 
 @dataclass(frozen=True)
@@ -253,14 +261,15 @@ def load_extracted(path) -> list[dict]:
 
     Each record comes back with just the fields build_dataset and the EDA
     read: the selected sentences joined into "text" and "input_ids" as an
-    int64 array.  A line missing one of them, or holding the wrong type, is
-    a ParseError naming the path and line.
+    int64 array.  A line missing one of them, holding the wrong type, or
+    padded otherwise than real_len says is an error naming the path and line.
     """
     records = read_jsonl(path, lambda rec: {
         "doc_id": str(rec["doc_id"]), "ticker": str(rec["ticker"]),
         "year": int(rec["year"]), "quarter": int(rec["quarter"]),
         "text": " ".join(s["text"] for s in rec["selected"]),
-        "input_ids": np.asarray(rec["input_ids"], dtype=np.int64),
+        "input_ids": _checked_input_ids(
+            np.asarray(rec["input_ids"], dtype=np.int64), int(rec["real_len"])),
         "real_len": int(rec["real_len"]),
         "sentence_token_lengths":
             [int(n) for n in rec.get("sentence_token_lengths", [])],
@@ -328,7 +337,7 @@ def split_dataset(
 
     Stratified mode shuffles within each class with the seeded rng and
     allocates by largest-remainder rounding, so splits are disjoint,
-    exhaustive, and reproducible.
+    exhaustive, and reproducible.  A split left empty is a StratificationError.
     """
     fractions = [spec.train_frac, spec.val_frac, spec.test_frac]
     if any(f <= 0 for f in fractions):
@@ -343,7 +352,7 @@ def split_dataset(
         ordered = sorted(dataset, key=lambda e: (e.year, e.quarter, e.doc_id))
         counts = _largest_remainder(len(ordered), fractions)
         a, b = counts[0], counts[0] + counts[1]
-        return ordered[:a], ordered[a:b], ordered[b:]
+        return _none_empty((ordered[:a], ordered[a:b], ordered[b:]), fractions)
     if spec.mode != "stratified":
         raise InvalidConfig(f"unknown split mode {spec.mode!r}")
 
@@ -352,7 +361,7 @@ def split_dataset(
     if spec.group_by_ticker:
         # whole tickers go to one split; stratification is best-effort only
         _split_groups(dataset, fractions, rng, splits)
-        return splits
+        return _none_empty(splits, fractions)
 
     by_class: dict[str, list[LabeledExample]] = {}
     for ex in dataset:
@@ -374,24 +383,29 @@ def split_dataset(
         for split, count in zip(splits, counts):
             split.extend(members[i] for i in order[pos : pos + count])
             pos += count
+    return _none_empty(splits, fractions)
+
+
+def _none_empty(splits, fractions):
+    """splits, unless one is empty: no model stage can run on that."""
+    empty = [name for name, split in zip(SPLIT_NAMES, splits) if not split]
+    if empty:
+        raise StratificationError(f"fractions {fractions} leave the "
+                                  f"{' and '.join(empty)} split empty")
     return splits
 
 
 def _split_groups(members, fractions, rng, splits) -> None:
     """Assign whole tickers to splits, approximating fractions by count."""
     tickers = sorted({e.ticker for e in members})
-    if len(tickers) < len(fractions):
-        raise StratificationError(
-            f"{len(tickers)} ticker group(s), fewer than {len(fractions)} splits"
-        )
     order = rng.permutation(len(tickers))
     targets = [f * len(members) for f in fractions]
     filled = [0.0, 0.0, 0.0]
     by_ticker = {t: [e for e in members if e.ticker == t] for t in tickers}
     for i in order:
         group = by_ticker[tickers[i]]
-        deficit = [(filled[j] - targets[j], j) for j in range(3)]
-        j = min(deficit)[1]
+        # the split least filled relative to its target; ties to the earlier
+        j = min(range(3), key=lambda j: filled[j] / targets[j])
         splits[j].extend(group)
         filled[j] += len(group)
 

@@ -7,7 +7,9 @@ between them is the starting weights.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import asdict, astuple, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -111,24 +113,12 @@ def confusion(preds, truth) -> SplitMetrics:
     )
 
 
-def evaluate_split(
-    params: ParameterSet,
-    config: ModelConfig,
-    examples: list[LabeledExample],
-    task: str,
-) -> SplitMetrics:
-    """Model predictions on one split, scored by confusion."""
-    if not examples:
-        raise EmptySplit("cannot evaluate an empty split")
-    preds = predict_labels(params, config, examples)
-    return confusion(preds, [e.label_index(task) for e in examples])
-
-
 def check_inputs(config: ModelConfig, splits: dict) -> None:
-    """Ids lie in [0, vocab_size); each split has one length <= max_seq_len."""
+    """No split is empty, ids lie in [0, vocab_size), and each split has one
+    length <= max_seq_len."""
     for name, examples in splits.items():
         if not examples:
-            continue
+            raise EmptySplit(f"the {name} split is empty")
         lengths = {len(e.input_ids) for e in examples}
         if len(lengths) > 1:
             raise InvalidInput(
@@ -145,22 +135,21 @@ def check_inputs(config: ModelConfig, splits: dict) -> None:
 
 
 def evaluate_all(
-    params: ParameterSet,
-    config: ModelConfig,
+    predict: Callable[[list[LabeledExample]], Sequence[int]],
     splits: dict[str, list[LabeledExample]],
     task: str,
     model_name: str,
-    config_echo: dict | None = None,
+    config_echo: dict,
 ) -> Metrics:
-    check_inputs(config, splits)
-    return Metrics(
-        model_name=model_name, task=task,
-        splits={
-            name: evaluate_split(params, config, splits[name], task)
-            for name in SPLIT_NAMES
-        },
-        config=dict(config_echo or {}),
-    )
+    """Score predict's class indexes on every split: the one path from
+    predictions to Metrics, for the language models and baselines alike."""
+    scored = {}
+    for name in SPLIT_NAMES:
+        if not splits[name]:
+            raise EmptySplit(f"the {name} split is empty")
+        truth = [e.label_index(task) for e in splits[name]]
+        scored[name] = confusion(predict(splits[name]), truth)
+    return Metrics(model_name, task, scored, config_echo)
 
 
 def run_finetune(
@@ -178,10 +167,8 @@ def run_finetune(
     """
     if task not in ("a", "b"):
         raise InvalidConfig(f"task must be 'a' or 'b', got {task!r}")
-    train = splits["train"]
-    if not train:
-        raise EmptySplit("empty training split")
     check_inputs(config, splits)
+    train = splits["train"]
 
     labels = np.array([e.label_index(task) for e in train])
 
@@ -198,7 +185,8 @@ def run_finetune(
         "epochs": tc.epochs, "batch_size": tc.batch_size, "seed": tc.seed,
         "task": task,
     }
-    metrics = evaluate_all(params, config, splits, task, model_name, echo)
+    metrics = evaluate_all(partial(predict_labels, params, config), splits,
+                           task, model_name, echo)
     return params, metrics, trace
 
 

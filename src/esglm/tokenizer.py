@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifacts import artifact, read_text
-from .errors import InvalidConfig, InvalidId, InvalidInput
+from .errors import InvalidConfig, InvalidId, InvalidInput, ParseError
 
 PAD, UNK, CLS, SEP, MASK = "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"
 SPECIAL_TOKENS = (PAD, UNK, CLS, SEP, MASK)
@@ -73,9 +73,10 @@ class Vocab:
         tokens = read_text(path).split("\n")
         while tokens and tokens[-1] == "":
             tokens.pop()
-        if len(tokens) < NUM_SPECIALS:
-            raise InvalidConfig(f"vocab file {path} has fewer than 5 lines")
-        return cls.from_tokens(tokens)
+        try:
+            return cls.from_tokens(tokens)
+        except InvalidConfig as exc:
+            raise ParseError(f"vocab file {path}: {exc}") from None
 
 
 @dataclass

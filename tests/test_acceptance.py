@@ -8,6 +8,7 @@ import itertools
 import math
 import time
 from collections import Counter
+from functools import partial
 
 import numpy as np
 
@@ -28,7 +29,9 @@ from esglm.extract import (
     score_sentences,
     segment_sentences,
 )
-from esglm.harness import evaluate_all, format_report_markdown, Metrics, SplitMetrics
+from esglm.harness import (
+    evaluate_all, format_report_markdown, Metrics, predict_labels, SplitMetrics,
+)
 from esglm.model import IGNORE_INDEX, ModelConfig, init_params
 from esglm.pretrain import MaskingConfig, mask_batch
 from esglm.synth import run_replication_study
@@ -347,8 +350,10 @@ def test_criterion_8_determinism_and_persistence(fixtures_dir, tmp_path):
             params[name].view(np.uint32), reloaded[name].view(np.uint32)
         )
     _, splits = data_mod.load_dataset_splits(run_a / "data")
-    m1 = evaluate_all(params, config, splits, "a", "domain_lm")
-    m2 = evaluate_all(reloaded, config2, splits, "a", "domain_lm")
+    m1 = evaluate_all(partial(predict_labels, params, config), splits, "a",
+                      "domain_lm", {})
+    m2 = evaluate_all(partial(predict_labels, reloaded, config2), splits, "a",
+                      "domain_lm", {})
     assert m1.to_dict() == m2.to_dict()
     report(8, f"two pipeline runs byte-identical in {elapsed:.0f}s; checkpoint "
               f"round-trip bit-exact and evaluation unchanged")

@@ -60,3 +60,35 @@ def test_bound_is_read_against_the_medians(bench_pairs):
     # the change wins one pair of three, but its median is 30% worse
     assert out["total_s"]["change_wins"] == 1
     assert out["over_bound"] == ["total_s"]
+
+
+def constant(**values):
+    return {"total_s": 1.0, "train_tokens_per_s": 1.0, "peak_rss_mb": 1.0, **values}
+
+
+def test_spread_wider_than_the_bound_is_unresolved(bench_pairs):
+    parent = [constant(total_s=v) for v in (1.0, 1.0, 1.5, 1.5)]
+    change = [constant(total_s=v) for v in (1.0, 1.1, 1.1, 1.2)]
+    out = bench_pairs.summarize(runs_of(parent, change), END_TO_END)
+    # parent IQR 0.5 s against 0.25 x its 1.25 s median; medians agree closely
+    assert out["total_s"]["parent_iqr"] == pytest.approx(0.5)
+    assert out["total_s"]["change_iqr"] == pytest.approx(0.05)
+    assert out["total_s"]["unresolved"] and not out["total_s"]["over_bound"]
+    assert out["unresolved"] == ["total_s"]
+    assert out["over_bound"] == []
+
+
+def test_wide_change_spread_alone_is_unresolved(bench_pairs):
+    parent = [constant(peak_rss_mb=50.0)] * 4
+    change = [constant(peak_rss_mb=v) for v in (40.0, 40.0, 60.0, 60.0)]
+    out = bench_pairs.summarize(runs_of(parent, change), END_TO_END)
+    assert out["peak_rss_mb"]["parent_iqr"] == 0.0
+    assert out["unresolved"] == ["peak_rss_mb"]
+
+
+def test_every_change_run_better_resolves_a_wide_spread(bench_pairs):
+    parent = [constant(train_tokens_per_s=v) for v in (100.0, 100.0, 200.0, 200.0)]
+    change = [constant(train_tokens_per_s=v) for v in (300.0, 300.0, 500.0, 500.0)]
+    out = bench_pairs.summarize(runs_of(parent, change), END_TO_END)
+    assert out["train_tokens_per_s"]["unresolved"] is False
+    assert out["unresolved"] == []

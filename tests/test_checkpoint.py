@@ -117,6 +117,17 @@ class TestRejection:
         with pytest.raises(CorruptCheckpoint):
             load_checkpoint(bad)
 
+    @pytest.mark.parametrize("meta", [
+        CheckpointMeta(stage=None, seed=0), CheckpointMeta(stage=5, seed=0),
+        CheckpointMeta(stage="pretrained", seed="7"),
+        CheckpointMeta(stage="pretrained", seed=0, train_config=[1]),
+    ], ids=["stage_null", "stage_int", "seed_text", "train_config_list"])
+    def test_metadata_of_the_wrong_type_rejected(self, tmp_path, meta):
+        path = tmp_path / "meta.ckpt"
+        save_checkpoint(init_params(CFG, seed=0), CFG, meta, path)
+        with pytest.raises(CorruptCheckpoint, match="bad metadata"):
+            load_checkpoint(path)
+
     def test_metadata_checked_before_tensors(self, tmp_path):
         # a file holding only magic+version+meta must fail on the meta read,
         # proving no tensor parsing happens before validation

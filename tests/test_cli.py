@@ -203,6 +203,30 @@ class TestConfigValues:
                      "--out", str(tmp_path / "x.jsonl")])
         self.assert_config_error(code, capsys)
 
+    def test_negative_dan_dim(self, pipeline_run, tmp_path, fixtures_dir, capsys):
+        code = main(["extract", "--config",
+                     self.config(tmp_path, fixtures_dir, "dan_dim=-1"),
+                     "--manifest", str(fixtures_dir / "filings.jsonl"),
+                     "--vocab", str(pipeline_run / "vocab.txt"),
+                     "--ckpt", str(pipeline_run / "pre.ckpt"),
+                     "--out", str(tmp_path / "x.jsonl")])
+        self.assert_config_error(code, capsys)
+        assert not (tmp_path / "x.jsonl").exists()
+
+    @pytest.mark.parametrize("overrides", [
+        ("delta_bins=0",), ("sentlen_bin_width=0",),
+        ("split_mode=temporal", "group_by_ticker=true"),
+    ])
+    def test_dataset(self, overrides, pipeline_run, tmp_path, fixtures_dir,
+                     capsys):
+        code = main(["dataset", "--config",
+                     self.config(tmp_path, fixtures_dir, *overrides),
+                     "--extracted", str(pipeline_run / "extracted.jsonl"),
+                     "--scores", str(fixtures_dir / "scores.csv"),
+                     "--task", "a", "--out", str(tmp_path / "d")])
+        self.assert_config_error(code, capsys)
+        assert not (tmp_path / "d").exists()
+
     def test_negative_split_seed(self, pipeline_run, tmp_path, fixtures_dir, capsys):
         code = main(["dataset", "--config", str(fixtures_dir / "fixture.cfg"),
                      "--extracted", str(pipeline_run / "extracted.jsonl"),
@@ -447,6 +471,35 @@ class TestMalformedRecords:
         assert "train.jsonl: line 1" in proc.stderr
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("edit", [
+        lambda rec: rec["input_ids"].__setitem__(1, 0),
+        lambda rec: rec.update(real_len=999),
+    ], ids=["pad_in_body", "real_len_past_the_ids"])
+    def test_split_padding_disagrees_with_real_len(self, pipeline_run, tmp_path,
+                                                    edit):
+        params, config, _ = load_checkpoint(pipeline_run / "pre.ckpt")
+        fin = tmp_path / "fin.ckpt"
+        save_checkpoint(params, config, CheckpointMeta(stage="finetuned_a", seed=0),
+                        fin)
+        data = copy_data(pipeline_run, tmp_path)
+        rewrite_jsonl(data / "test.jsonl", edit)
+        proc = run_cli("evaluate", "--ckpt", fin, "--data", data,
+                       "--metrics", tmp_path / "m.json")
+        assert_data_error(proc)
+        assert "test.jsonl: line 1" in proc.stderr
+        assert not (tmp_path / "m.json").exists()
+
+    def test_extracted_line_with_empty_input_ids(self, pipeline_run, tmp_path,
+                                                 fixtures_dir):
+        extracted = tmp_path / "extracted.jsonl"
+        shutil.copy(pipeline_run / "extracted.jsonl", extracted)
+        rewrite_jsonl(extracted, lambda rec: rec.update(input_ids=[]))
+        proc = run_cli("dataset", "--extracted", extracted,
+                       "--scores", fixtures_dir / "scores.csv", "--task", "a",
+                       "--out", tmp_path / "data")
+        assert_data_error(proc)
+        assert f"{extracted}: line 1" in proc.stderr
+
     def test_metrics_without_task(self, pipeline_run, tmp_path):
         m = tmp_path / "m.json"
         assert main(["baseline", "--data", str(pipeline_run / "data"),
@@ -516,6 +569,78 @@ def test_sentence_without_known_token_scores_null(pipeline_run, tmp_path,
     (rec,) = [json.loads(line, parse_constant=reject)
               for line in out.read_text(encoding="utf-8").splitlines()]
     assert rec["selected"] == [{"index": 0, "score": None, "text": "€€ ¥¥ ¥"}]
+
+
+class TestEmptySplit:
+    """No model command scores or trains on a dataset with an empty split,
+    and the dataset stage never writes one."""
+
+    @pytest.mark.parametrize("command", ["baseline", "finetune"])
+    def test_empty_test_split(self, pipeline_run, tmp_path, fixtures_dir, command):
+        data = copy_data(pipeline_run, tmp_path)
+        (data / "test.jsonl").write_text("", encoding="utf-8")
+        if command == "baseline":
+            args = ("--model", "common")
+        else:
+            args = ("--config", fixtures_dir / "fixture.cfg", "--fresh",
+                    "--task", "a", "--out", tmp_path / "f.ckpt")
+        proc = run_cli(command, *args, "--data", data,
+                       "--metrics", tmp_path / "m.json")
+        assert_data_error(proc)
+        assert "test split is empty" in proc.stderr
+        assert "epoch" not in proc.stdout  # rejected before any training
+        assert not (tmp_path / "m.json").exists()
+
+    def test_dataset_refuses_to_write_an_empty_split(self, pipeline_run, tmp_path,
+                                                    fixtures_dir):
+        cfg = tmp_path / "temporal.cfg"
+        cfg.write_text((fixtures_dir / "fixture.cfg").read_text(encoding="utf-8")
+                       + "split_mode=temporal\n", encoding="utf-8")
+        proc = run_cli("dataset", "--config", cfg,
+                       "--extracted", pipeline_run / "extracted.jsonl",
+                       "--scores", fixtures_dir / "scores.csv", "--task", "a",
+                       "--split", "0.98,0.01,0.01", "--out", tmp_path / "data")
+        assert_data_error(proc)
+        assert "leave the test split empty" in proc.stderr
+        assert not (tmp_path / "data").exists()
+
+
+class TestMalformedVocabAndCheckpoint:
+    @pytest.mark.parametrize("command", ["pretrain", "extract"])
+    @pytest.mark.parametrize("edit", [
+        lambda lines: lines[:3],
+        lambda lines: lines + [lines[-1]],
+    ], ids=["three_lines", "duplicate_token"])
+    def test_vocab_file(self, pipeline_run, tmp_path, fixtures_dir, capsys,
+                        command, edit):
+        lines = (pipeline_run / "vocab.txt").read_text(encoding="utf-8").splitlines()
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+        common = ["--config", str(fixtures_dir / "fixture.cfg"),
+                  "--vocab", str(vocab), "--out", str(tmp_path / "out")]
+        if command == "pretrain":
+            args = ["--corpus", str(fixtures_dir / "corpus")]
+        else:
+            args = ["--manifest", str(fixtures_dir / "filings.jsonl"),
+                    "--ckpt", str(pipeline_run / "pre.ckpt")]
+        code = main([command, *common, *args])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert f"esglm: error: vocab file {vocab}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("stage", [None, 5])
+    def test_checkpoint_stage_not_text(self, pipeline_run, tmp_path, capsys,
+                                       stage):
+        params, config, _ = load_checkpoint(pipeline_run / "pre.ckpt")
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(params, config, CheckpointMeta(stage=stage, seed=0), bad)
+        code = main(["evaluate", "--ckpt", str(bad),
+                     "--data", str(pipeline_run / "data"),
+                     "--metrics", str(tmp_path / "m.json")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "esglm: error:" in err and "bad metadata" in err
 
 
 class TestTokenIdRange:

@@ -28,7 +28,7 @@ from esglm.errors import (
     ParseError,
     StratificationError,
 )
-from esglm.tokenizer import encode, prepare_input, train_vocab
+from esglm.tokenizer import CLS_ID, PAD_ID, SEP_ID, encode, prepare_input, train_vocab
 
 
 def series(ticker, *points):
@@ -186,7 +186,7 @@ def make_example(i, task_a, task_b, ticker="AAA", year=2015, quarter=1):
         doc_id=f"{ticker}-{year}Q{quarter}-{i}", ticker=ticker, year=year,
         quarter=quarter, delta=1.0 if task_a == "change" else 0.0,
         task_a_label=task_a, task_b_label=task_b, text="t",
-        input_ids=np.zeros(8, dtype=np.int64), real_len=2,
+        input_ids=np.array([CLS_ID, SEP_ID] + [PAD_ID] * 6), real_len=2,
     )
 
 
@@ -321,6 +321,33 @@ class TestSplitDataset:
         for name, split in zip("tvx", splits):
             for e in split:
                 assert seen.setdefault(e.ticker, name) == name
+
+    @pytest.mark.parametrize("n_tickers,sizes", [(3, [20, 20, 20]),
+                                                 (4, [30, 15, 15])])
+    def test_group_by_ticker_fills_every_split(self, n_tickers, sizes):
+        data = [make_example(i, "change" if i % 2 else "no_change",
+                             "positive" if i % 2 else None, ticker=f"T{i % n_tickers}")
+                for i in range(60)]
+        for seed in range(3):
+            splits = split_dataset(data, SplitSpec(seed=seed, group_by_ticker=True))
+            assert [len(s) for s in splits] == sizes
+
+    @pytest.mark.parametrize("spec,empty", [
+        (SplitSpec(train_frac=0.98, val_frac=0.01, test_frac=0.01),
+         "validation and test"),
+        (SplitSpec(train_frac=0.98, val_frac=0.01, test_frac=0.01, mode="temporal"),
+         "validation and test"),
+        (SplitSpec(train_frac=0.55, val_frac=0.04, test_frac=0.41, mode="temporal"),
+         "validation"),
+    ], ids=["stratified", "temporal", "temporal_validation"])
+    def test_empty_split_rejected(self, spec, empty):
+        with pytest.raises(StratificationError, match=f"the {empty} split empty"):
+            split_dataset(self._dataset(), spec)
+
+    def test_fewer_tickers_than_splits_rejected(self):
+        data = [e for e in self._dataset() if e.ticker != "T2"]
+        with pytest.raises(StratificationError, match="the test split empty"):
+            split_dataset(data, SplitSpec(group_by_ticker=True))
 
 
 class TestEda:

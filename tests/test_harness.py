@@ -1,18 +1,20 @@
 import dataclasses
 import json
+from functools import partial
 
 import numpy as np
 import pytest
 
+from esglm import harness
 from esglm.data import LabeledExample
 from esglm.errors import CheckpointMismatch, EmptySplit, InvalidConfig
 from esglm.harness import (
     Metrics,
     SplitMetrics,
+    check_inputs,
     confusion,
     emit_report,
     evaluate_all,
-    evaluate_split,
     format_report_markdown,
     predict_labels,
     run_finetune,
@@ -58,14 +60,17 @@ class TestEvaluate:
     def test_counts_partition_split(self):
         splits = tiny_splits()
         params = init_params(CFG, seed=0)
-        m = evaluate_split(params, CFG, splits["train"], "a")
-        assert m.tp + m.fp + m.tn + m.fn == m.n == len(splits["train"])
-        assert 0.0 <= m.accuracy <= 1.0
+        made = evaluate_all(partial(predict_labels, params, CFG), splits, "a",
+                            "base_lm", {})
+        for name, m in made.splits.items():
+            assert m.tp + m.fp + m.tn + m.fn == m.n == len(splits[name])
+            assert 0.0 <= m.accuracy <= 1.0
 
     def test_accuracy_matches_loop_and_count_oracle(self):
         splits = tiny_splits(seed=3)
         params = init_params(CFG, seed=1)
-        made = evaluate_split(params, CFG, splits["test"], "a")
+        made = evaluate_all(partial(predict_labels, params, CFG), splits, "a",
+                            "base_lm", {}).splits["test"]
         preds = predict_labels(params, CFG, splits["test"])
         correct = 0
         for p, e in zip(preds, splits["test"]):
@@ -92,8 +97,13 @@ class TestEvaluate:
         np.testing.assert_array_equal(predict_labels(params, CFG, wide), want)
 
     def test_empty_split_rejected(self):
-        with pytest.raises(EmptySplit):
-            evaluate_split(init_params(CFG, seed=0), CFG, [], "a")
+        predict = partial(predict_labels, init_params(CFG, seed=0), CFG)
+        for name in ("train", "validation", "test"):
+            splits = {**tiny_splits(), name: []}
+            with pytest.raises(EmptySplit, match=f"the {name} split is empty"):
+                evaluate_all(predict, splits, "a", "base_lm", {})
+            with pytest.raises(EmptySplit, match=f"the {name} split is empty"):
+                check_inputs(CFG, splits)
 
     def test_confusion_counts_index_one_as_positive(self):
         m = confusion([1, 1, 0, 0, 1], [1, 0, 0, 1, 1])
@@ -143,6 +153,17 @@ class TestRunFinetune:
             out.append(metrics.to_dict())
         assert out[0] == out[1]
 
+    def test_inputs_checked_once(self, monkeypatch):
+        calls = []
+
+        def counted(config, splits):
+            calls.append(config)
+            check_inputs(config, splits)
+        monkeypatch.setattr(harness, "check_inputs", counted)
+        run_finetune(init_params(CFG, seed=0), CFG, tiny_splits(), "a",
+                     TrainConfig(learning_rate=1e-3, epochs=1, batch_size=4))
+        assert calls == [CFG]
+
     def test_vocab_mismatch_rejected(self):
         splits = tiny_splits()
         small = ModelConfig(vocab_size=6, hidden_dim=32, num_layers=2,
@@ -157,7 +178,7 @@ class TestRunFinetune:
             splits = tiny_splits()
             splits["validation"][0].input_ids[1] = bad
             with pytest.raises(CheckpointMismatch):
-                evaluate_all(params, CFG, splits, "a", "base_lm")
+                run_finetune(params, CFG, splits, "a", TrainConfig())
 
     def test_seq_len_mismatch_rejected(self):
         splits = tiny_splits()
