@@ -13,7 +13,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
@@ -348,7 +347,11 @@ def cmd_finetune(args, cfg: PipelineConfig) -> int:
 
 def cmd_baseline(args, cfg: PipelineConfig) -> int:
     meta, splits = data.load_dataset_splits(args.data)
-    task = meta.get("task", args.task)
+    if args.task is not None and meta.get("task") not in (args.task, None):
+        raise CheckpointMismatch(
+            f"dataset was built for task {meta.get('task')!r}, not {args.task!r}"
+        )
+    task = meta.get("task", args.task or "a")
     if task not in data.TASK_CLASSES:
         raise DataError(f"{args.data}: meta.json task {task!r} is not 'a' or 'b'")
     classes = data.TASK_CLASSES[task]
@@ -463,7 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True, choices=("common", "nb"))
     p.add_argument("--metrics", required=True)
-    p.add_argument("--task", default="a")
+    p.add_argument("--task", default=None, choices=("a", "b"),
+                   help="must match meta.json's task; default: meta.json's, else a")
 
     p = add("evaluate", cmd_evaluate, "evaluate a finetuned checkpoint")
     p.add_argument("--ckpt", required=True)
@@ -479,23 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _pin_malloc_thresholds() -> None:
-    """On glibc, take blocks under 16 MiB from the heap and keep 32 MiB freed.
-
-    glibc raises these thresholds itself only when it frees a mapped block
-    larger than the current one, so a stage's page faults would depend on
-    the arrays that stages before it in the same process happened to free.
-    A full (8, 2, 512, 512) float32 score array once raised them this far.
-    """
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is not None:
-        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-        mallopt(-3, 16 << 20)  # M_MMAP_THRESHOLD
-        mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD
-
-
 def main(argv=None) -> int:
-    _pin_malloc_thresholds()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -261,20 +261,32 @@ def load_extracted(path) -> list[dict]:
 
     Each record comes back with just the fields build_dataset and the EDA
     read: the selected sentences joined into "text" and "input_ids" as an
-    int64 array.  A line missing one of them, holding the wrong type, or
-    padded otherwise than real_len says is an error naming the path and line.
+    int64 array.  A line missing one of them, holding the wrong type,
+    padded otherwise than real_len says, or whose input_ids differ in length
+    from the first record's is an error naming the path and line.
     """
-    records = read_jsonl(path, lambda rec: {
-        "doc_id": str(rec["doc_id"]), "ticker": str(rec["ticker"]),
-        "year": int(rec["year"]), "quarter": int(rec["quarter"]),
-        "text": " ".join(s["text"] for s in rec["selected"]),
-        "input_ids": _checked_input_ids(
-            np.asarray(rec["input_ids"], dtype=np.int64), int(rec["real_len"])),
-        "real_len": int(rec["real_len"]),
-        "sentence_token_lengths":
-            [int(n) for n in rec.get("sentence_token_lengths", [])],
-        "vocab_size": rec.get("vocab_size"),
-    })
+    widths: list[int] = []  # the first record's input_ids length
+
+    def parse(rec):
+        ids = _checked_input_ids(
+            np.asarray(rec["input_ids"], dtype=np.int64), int(rec["real_len"]))
+        if not widths:
+            widths.append(len(ids))
+        elif len(ids) != widths[0]:
+            raise InvalidInput(f"input_ids hold {len(ids)} ids, the first "
+                               f"record's {widths[0]}")
+        return {
+            "doc_id": str(rec["doc_id"]), "ticker": str(rec["ticker"]),
+            "year": int(rec["year"]), "quarter": int(rec["quarter"]),
+            "text": " ".join(s["text"] for s in rec["selected"]),
+            "input_ids": ids,
+            "real_len": int(rec["real_len"]),
+            "sentence_token_lengths":
+                [int(n) for n in rec.get("sentence_token_lengths", [])],
+            "vocab_size": rec.get("vocab_size"),
+        }
+
+    records = read_jsonl(path, parse)
     if not records:
         raise DataError(f"{path}: no extracted documents")
     return records

@@ -116,7 +116,8 @@ class ParameterSet:
     """Named weight tensors: views, in `layout` order, into one flat buffer.
 
     Zeroing, copying and the Adam update each run once over `flat`.
-    Assignment copies into a view; it never rebinds a name.
+    Assignment copies into a view; it never rebinds a name.  `offsets` maps
+    each name to its first element in `flat`.
     """
 
     def __init__(self, tensors: dict[str, np.ndarray], flat: np.ndarray | None = None):
@@ -126,9 +127,11 @@ class ParameterSet:
         self.flat = flat
         self.layout = [(name, np.shape(t)) for name, t in tensors.items()]
         self.tensors: dict[str, np.ndarray] = {}
+        self.offsets: dict[str, int] = {}
         end = 0
         for name, shape in self.layout:
             start, end = end, end + math.prod(shape)
+            self.offsets[name] = start
             self.tensors[name] = flat[start:end].reshape(shape)
 
     def __getitem__(self, name: str) -> np.ndarray:
@@ -146,6 +149,17 @@ class ParameterSet:
 
     def names(self) -> list[str]:
         return list(self.tensors)
+
+    def stacked(self, *names: str) -> np.ndarray:
+        """The named tensors as one (len(names), *shape) view of `flat`; they
+        must share a shape and lie back to back in this order."""
+        shape = self.tensors[names[0]].shape
+        start = self.offsets[names[0]]
+        size = math.prod(shape)
+        for i, name in enumerate(names):
+            if self.tensors[name].shape != shape or self.offsets[name] != start + i * size:
+                raise ShapeError(f"{name} does not follow {names[0]} in one stack")
+        return self.flat[start:start + len(names) * size].reshape(len(names), *shape)
 
     def zeros_like(self) -> "ParameterSet":
         return ParameterSet(self.tensors, np.zeros_like(self.flat))
@@ -210,32 +224,40 @@ def gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _softmax(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Softmax over the last axis, in place; returns the row max and row sum."""
-    row_max = np.max(x, axis=-1, keepdims=True)
+    row_max = np.maximum.reduce(x, -1, keepdims=True)
     x -= row_max
     np.exp(x, out=x)
-    row_sum = np.sum(x, axis=-1, keepdims=True)
+    row_sum = np.add.reduce(x, -1, keepdims=True)
     x /= row_sum
     return row_max, row_sum
 
 
+def _row_mean(x: np.ndarray) -> np.ndarray:
+    """np.mean(x, axis=-1, keepdims=True), bit for bit, without its wrapper.
+
+    np.mean divides the float32 sum by an intp count in float64 and rounds
+    once to float32; dividing in float32 rounds the same quotient the same
+    way, as float64 holds it with more than twice float32's precision.
+    """
+    m = np.add.reduce(x, -1, keepdims=True)
+    m /= x.shape[-1]
+    return m
+
+
 def _layernorm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
+    xc = x - _row_mean(x)
+    var = _row_mean(xc * xc)
     inv = 1.0 / np.sqrt(var + LN_EPS)
     y = xc * inv
     return gain * y + bias, (y, inv)
 
 def _layernorm_backward(dout, ln_cache, gain):
     y, inv = ln_cache
-    dgain = np.sum(dout * y, axis=tuple(range(dout.ndim - 1)))
-    dbias = np.sum(dout, axis=tuple(range(dout.ndim - 1)))
+    lead = tuple(range(dout.ndim - 1))
+    dgain = np.add.reduce(dout * y, axis=lead)
+    dbias = np.add.reduce(dout, axis=lead)
     dy = dout * gain
-    dx = inv * (
-        dy
-        - dy.mean(axis=-1, keepdims=True)
-        - y * np.mean(dy * y, axis=-1, keepdims=True)
-    )
+    dx = inv * (dy - _row_mean(dy) - y * _row_mean(dy * y))
     return dx, dgain, dbias
 
 
@@ -290,13 +312,22 @@ def _rebuilt_probs(lc, key_pad, scale, e: slice):
     return probs
 
 
-def _score_grads(probs, dctx, rowsum, q, k, v, scale):
-    """dq, dk, dv of softmax attention; dscores is built in the dprobs buffer."""
-    dv = probs.swapaxes(-1, -2) @ dctx
+def _score_grads(probs, dctx, rowsum, q, k, v, scale, out):
+    """dq, dk, dv of softmax attention, written to out[0], out[1], out[2];
+    dscores is built in the dprobs buffer."""
+    np.matmul(probs.swapaxes(-1, -2), dctx, out=out[2])
     dscores = dctx @ v.swapaxes(-1, -2)
     dscores -= rowsum
     dscores *= probs
-    return (dscores @ k) * scale, (dscores.swapaxes(-1, -2) @ q) * scale, dv
+    np.matmul(dscores, k, out=out[0])
+    out[0] *= scale
+    np.matmul(dscores.swapaxes(-1, -2), q, out=out[1])
+    out[1] *= scale
+
+
+def _qkv_names(prefix: str, kind: str) -> tuple[str, str, str]:
+    """A layer's three Q/K/V weights ("w") or biases ("b"), back to back in flat."""
+    return tuple(f"{prefix}attn.{kind}{m}" for m in "qkv")
 
 
 def _dropout(x, rate, rng, cache_slot, key):
@@ -345,9 +376,10 @@ def encoder_forward(
     for i in range(config.num_layers):
         p = f"layers.{i}."
         x = h
-        q = _split_heads(x @ params[p + "attn.wq"] + params[p + "attn.bq"], config.num_heads)
-        k = _split_heads(x @ params[p + "attn.wk"] + params[p + "attn.bk"], config.num_heads)
-        v = _split_heads(x @ params[p + "attn.wv"] + params[p + "attn.bv"], config.num_heads)
+        # one (3, B, S, d) projection; q, k and v are (B, H, S, dh) views of it
+        qkv = x @ params.stacked(*_qkv_names(p, "w"))[:, None]
+        qkv += params.stacked(*_qkv_names(p, "b"))[:, None, None]
+        q, k, v = qkv.reshape(3, b, s, config.num_heads, -1).transpose(0, 1, 3, 2, 4)
         ctx, softmax = _attention(q, k, v, key_pad, scale)
         attn = ctx @ params[p + "attn.wo"] + params[p + "attn.bo"]
         attn = _dropout(attn, drop, rng, cache["drop"], f"attn{i}")
@@ -401,12 +433,12 @@ def encoder_backward(
         a = 0.5 * lc["f1"] * (1.0 + lc["t"])  # gelu's own expression
         grads[p + "ffn.w2"] += flat(a).T @ flat(df2)
         del a
-        grads[p + "ffn.b2"] += df2.sum(axis=(0, 1))
+        grads[p + "ffn.b2"] += np.add.reduce(df2, axis=(0, 1))
         df1 = df2 @ params[p + "ffn.w2"].T
         df1 *= gelu_grad(lc["f1"], lc["t"])
         h1 = ln_out(p + "ln1", lc["ln1"])
         grads[p + "ffn.w1"] += flat(h1).T @ flat(df1)
-        grads[p + "ffn.b1"] += df1.sum(axis=(0, 1))
+        grads[p + "ffn.b1"] += np.add.reduce(df1, axis=(0, 1))
         dh1 = dres2 + df1 @ params[p + "ffn.w1"].T
         del dres2, df2, df1, h1
 
@@ -417,39 +449,51 @@ def encoder_backward(
 
         dattn = undrop(dres1, f"attn{i}")
         grads[p + "attn.wo"] += flat(lc["ctx"]).T @ flat(dattn)
-        grads[p + "attn.bo"] += dattn.sum(axis=(0, 1))
+        grads[p + "attn.bo"] += np.add.reduce(dattn, axis=(0, 1))
         dctx = _split_heads(dattn @ params[p + "attn.wo"].T, config.num_heads)
         del dattn
 
         # dscores = probs * (dprobs - rowsum); as ctx = probs @ v,
         # rowsum = sum_j dprobs * probs = dctx . ctx
-        rowsum = np.sum(dctx * _split_heads(lc["ctx"], config.num_heads),
-                        axis=-1, keepdims=True)
+        rowsum = np.add.reduce(dctx * _split_heads(lc["ctx"], config.num_heads),
+                               -1, keepdims=True)
         q, k, v = lc["q"], lc["k"], lc["v"]
+        # dq, dk, dv land in (B, H, S, dh) views of one (3, B, S, H, dh)
+        # buffer, which then reads as (3, B, S, d) with heads merged
+        b, h, s, d_h = q.shape
+        dqkv = np.empty((3, b, s, h, d_h), dctx.dtype)
+        heads = dqkv.transpose(0, 1, 3, 2, 4)
         if "probs" in lc:
-            dq, dk, dv = _score_grads(lc["probs"], dctx, rowsum, q, k, v, scale)
+            _score_grads(lc["probs"], dctx, rowsum, q, k, v, scale, heads)
         else:  # chunk by chunk, as the forward ran
             key_pad = (cache["mask"] != 1)[:, None, None, :]
-            dq, dk, dv = (np.empty(q.shape, dctx.dtype) for _ in "qkv")
             n = _examples_per_chunk(q)
-            for e in (slice(c, c + n) for c in range(0, q.shape[0], n)):
-                dq[e], dk[e], dv[e] = _score_grads(
-                    _rebuilt_probs(lc, key_pad, scale, e), dctx[e], rowsum[e],
-                    q[e], k[e], v[e], scale)
+            for e in (slice(c, c + n) for c in range(0, b, n)):
+                _score_grads(_rebuilt_probs(lc, key_pad, scale, e), dctx[e],
+                             rowsum[e], q[e], k[e], v[e], scale, heads[:, e])
+        dqkv = dqkv.reshape(3, b, s, h * d_h)
+        del dctx, heads
 
         x = cache["emb_out"] if i == 0 else ln_out(
             f"layers.{i - 1}.ln2", cache["layers"][i - 1]["ln2"])
-        dh = dres1
-        for m, dm in (("q", dq), ("k", dk), ("v", dv)):
-            dm_m = _merge_heads(dm)
-            grads[p + f"attn.w{m}"] += flat(x).T @ flat(dm_m)
-            grads[p + f"attn.b{m}"] += dm_m.sum(axis=(0, 1))
-            dh = dh + dm_m @ params[p + f"attn.w{m}"].T
-        del dq, dk, dv, dctx, dm, dm_m, x  # else the next layer keeps them
+        dw = grads.stacked(*_qkv_names(p, "w"))
+        dw += flat(x).T @ dqkv.reshape(3, -1, h * d_h)
+        db = grads.stacked(*_qkv_names(p, "b"))
+        db += np.add.reduce(dqkv, axis=(1, 2))
+        del x
+        wq, wk, wv = (params[name] for name in _qkv_names(p, "w"))
+        dh = dres1 + dqkv[0] @ wq.T  # in the order of the three projections
+        dh += dqkv[1] @ wk.T
+        dh += dqkv[2] @ wv.T
+        del dqkv  # else the next layer keeps it
 
     dh = undrop(dh, "emb")
-    np.add.at(grads["tok_emb"], cache["ids"].reshape(-1), flat(dh))
-    grads["pos_emb"][: dh.shape[1]] += dh.sum(axis=0)
+    # one add per element of flat(dh), each cell's in row order, as the
+    # 2-D np.add.at(grads["tok_emb"], ids, flat(dh)) adds them
+    d = dh.shape[-1]
+    cells = cache["ids"].reshape(-1, 1) * d + np.arange(d)
+    np.add.at(grads["tok_emb"].reshape(-1), cells.reshape(-1), dh.reshape(-1))
+    grads["pos_emb"][: dh.shape[1]] += np.add.reduce(dh, axis=0)
 
 
 def forward_mlm(hidden: np.ndarray, params: ParameterSet) -> np.ndarray:

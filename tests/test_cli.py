@@ -47,6 +47,24 @@ def rewrite_jsonl(path, edit, every=False):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def realloc_faults(prelude: str) -> int:
+    """Minor page faults taken to allocate 12 MiB again after freeing it, in
+    a fresh interpreter that first runs prelude."""
+    code = (
+        "import resource, numpy as np\n" + prelude +
+        "a = np.ones(3 << 20, np.float32); del a\n"
+        "f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "b = np.ones(3 << 20, np.float32)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)\n")
+    env = dict(os.environ)
+    src = str(Path(esglm.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.split()[-1])
+
+
 def copy_data(pipeline_run, tmp_path):
     return Path(shutil.copytree(pipeline_run / "data", tmp_path / "data"))
 
@@ -134,20 +152,29 @@ class TestExitCodes:
     def test_stage_reuses_freed_memory(self):
         # by default, a fresh process maps the first 12 MiB block, returns it
         # to the OS when it is freed, and faults in new heap pages for the next
-        code = (
-            "import resource, numpy as np; from esglm.cli import main\n"
-            "main(['vocab'])  # a usage error, after the stage's set-up\n"
-            "a = np.ones(3 << 20, np.float32); del a\n"
-            "f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-            "b = np.ones(3 << 20, np.float32)\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)\n")
-        env = dict(os.environ)
-        src = str(Path(esglm.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout.split()[-1]) < 100
+        assert realloc_faults(
+            "from esglm.cli import main\n"
+            "main(['vocab'])  # a usage error, after the stage's set-up\n") < 100
+
+    @pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"),
+                        reason="needs glibc's mallopt")
+    def test_library_import_reuses_freed_memory(self):
+        # importing the package pins the thresholds on a path that never
+        # reaches cli.main, as synth.run_replication_arm's callers take
+        assert realloc_faults(
+            "import sys, esglm.synth\n"
+            "assert 'esglm.cli' not in sys.modules\n") < 100
+
+    def test_baseline_task_must_match_the_dataset(self, pipeline_run, tmp_path,
+                                                  capsys):
+        m = tmp_path / "m.json"
+        args = ["baseline", "--data", str(pipeline_run / "data"),
+                "--model", "common", "--metrics", str(m)]
+        assert main([*args, "--task", "b"]) == 2  # the dataset is task a
+        assert "built for task 'a', not 'b'" in capsys.readouterr().err
+        assert not m.exists()
+        assert main([*args, "--task", "a"]) == 0
+        assert json.loads(m.read_text())["task"] == "a"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_failure_is_3(self, pipeline_run, tmp_path, fixtures_dir):
@@ -499,6 +526,21 @@ class TestMalformedRecords:
                        "--out", tmp_path / "data")
         assert_data_error(proc)
         assert f"{extracted}: line 1" in proc.stderr
+
+    def test_extracted_lines_of_different_lengths(self, pipeline_run, tmp_path,
+                                                  fixtures_dir):
+        extracted = tmp_path / "extracted.jsonl"
+        shutil.copy(pipeline_run / "extracted.jsonl", extracted)
+
+        def cut(rec):
+            rec["input_ids"] = rec["input_ids"][: rec["real_len"] + 1]
+        rewrite_jsonl(extracted, cut)
+        proc = run_cli("dataset", "--extracted", extracted,
+                       "--scores", fixtures_dir / "scores.csv", "--task", "a",
+                       "--out", tmp_path / "data")
+        assert_data_error(proc)
+        assert f"{extracted}: line 2" in proc.stderr
+        assert not (tmp_path / "data").exists()
 
     def test_metrics_without_task(self, pipeline_run, tmp_path):
         m = tmp_path / "m.json"
