@@ -11,40 +11,37 @@ prints the median of the per-block mean step time, and the spread of the
 block means.  esglm is imported from PYTHONPATH, so the same script times
 any checkout:
 
-    PYTHONPATH=src python3 scripts/step_time.py [--blocks 15] [--steps 50]
+    PYTHONPATH=src python3 scripts/step_time.py
 
 Uses only the standard library and numpy.
 """
 
 from __future__ import annotations
 
-import argparse
 import statistics
 import sys
 from time import perf_counter
 
+BLOCKS = 15
+STEPS = 50
 
-def batches(vocab_size: int, b: int = 8, s: int = 32):
+
+def batches(vocab_size: int):
     """{objective: (ids, mask, targets)}, seeded, with no PAD position."""
     import numpy as np
 
     from esglm.model import IGNORE_INDEX
 
     rng = np.random.default_rng(0)
-    ids = rng.integers(5, vocab_size, size=(b, s))
+    ids = rng.integers(5, vocab_size, size=(8, 32))
     mask = np.ones_like(ids)
     targets = np.where(rng.random(ids.shape) < 0.15, ids, IGNORE_INDEX)
     targets[0, 1] = ids[0, 1]  # at least one target
-    labels = rng.integers(0, 2, size=b)
+    labels = rng.integers(0, 2, size=8)
     return {"mlm": (ids, mask, targets), "classify": (ids, mask, labels)}
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--blocks", type=int, default=15)
-    ap.add_argument("--steps", type=int, default=50)
-    args = ap.parse_args(argv)
-
+def main() -> int:
     from esglm.model import ModelConfig, TrainConfig, compute_gradients, init_params
     from esglm.optim import OptimizerState, adam_step
 
@@ -52,20 +49,20 @@ def main(argv=None) -> int:
                          num_heads=2, ffn_dim=64, max_seq_len=32, dropout_rate=0.0)
     tc = TrainConfig(learning_rate=1e-3)
     print(f"{'objective':<10} {'median ms':>10} {'min ms':>8} {'max ms':>8}"
-          f"  ({args.blocks} blocks of {args.steps} steps)")
+          f"  ({BLOCKS} blocks of {STEPS} steps)")
     for objective, batch in batches(config.vocab_size).items():
         params = init_params(config, seed=0)
         state = OptimizerState.for_params(params)
 
         def block():
             t0 = perf_counter()
-            for _ in range(args.steps):
+            for _ in range(STEPS):
                 _, grads = compute_gradients(batch, params, config, objective)
                 adam_step(params, grads, state, tc)
-            return (perf_counter() - t0) / args.steps * 1e3
+            return (perf_counter() - t0) / STEPS * 1e3
 
         block()  # warm-up
-        ms = [block() for _ in range(args.blocks)]
+        ms = [block() for _ in range(BLOCKS)]
         print(f"{objective:<10} {statistics.median(ms):10.3f} {min(ms):8.3f}"
               f" {max(ms):8.3f}")
     return 0

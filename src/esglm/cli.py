@@ -299,15 +299,20 @@ def _print_accuracies(stage: str, metrics: Metrics) -> None:
         )
 
 
+def _check_dataset_task(meta: dict, task: str | None) -> None:
+    """Raise CheckpointMismatch when a given task is not meta.json's task."""
+    if task is not None and meta.get("task") not in (task, None):
+        raise CheckpointMismatch(
+            f"dataset was built for task {meta.get('task')!r}, not {task!r}"
+        )
+
+
 def cmd_finetune(args, cfg: PipelineConfig) -> int:
     if bool(args.ckpt) == bool(args.fresh):
         raise ConfigError("exactly one of --ckpt or --fresh is required")
     meta, splits = data.load_dataset_splits(args.data)
     task = args.task
-    if meta.get("task") not in (task, None):
-        raise CheckpointMismatch(
-            f"dataset was built for task {meta.get('task')!r}, not {task!r}"
-        )
+    _check_dataset_task(meta, task)
     if args.ckpt:
         params, config, ck_meta = load_checkpoint(args.ckpt)
         if ck_meta.stage not in ("pretrained", "fresh"):
@@ -347,10 +352,7 @@ def cmd_finetune(args, cfg: PipelineConfig) -> int:
 
 def cmd_baseline(args, cfg: PipelineConfig) -> int:
     meta, splits = data.load_dataset_splits(args.data)
-    if args.task is not None and meta.get("task") not in (args.task, None):
-        raise CheckpointMismatch(
-            f"dataset was built for task {meta.get('task')!r}, not {args.task!r}"
-        )
+    _check_dataset_task(meta, args.task)
     task = meta.get("task", args.task or "a")
     if task not in data.TASK_CLASSES:
         raise DataError(f"{args.data}: meta.json task {task!r} is not 'a' or 'b'")

@@ -24,8 +24,6 @@ from esglm.model import (
     _GELU_A,
     _GELU_C,
     _dropout,
-    _layernorm,
-    _layernorm_backward,
     _merge_heads,
     _split_heads,
 )
@@ -612,11 +610,29 @@ class TestTrimBatch:
         assert_same_gradients(grads, want)
 
 
+def _np_mean_layernorm(x, gain, bias):
+    """_layernorm with np.mean, as it was written before the row means."""
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.mean(xc * xc, axis=-1, keepdims=True) + model.LN_EPS)
+    y = xc * inv
+    return gain * y + bias, (y, inv)
+
+
+def _np_mean_layernorm_backward(dout, ln_cache, gain):
+    y, inv = ln_cache
+    lead = tuple(range(dout.ndim - 1))
+    dy = dout * gain
+    dx = inv * (dy - dy.mean(axis=-1, keepdims=True)
+                - y * np.mean(dy * y, axis=-1, keepdims=True))
+    return dx, np.sum(dout * y, axis=lead), np.sum(dout, axis=lead)
+
+
 def _reference_forward(ids, attention_mask, params, config, rng=None,
                        want_cache=False):
     """encoder_forward with the attention written out of place.
 
-    Scores come from np.where, the softmax makes three temporaries and
+    Scores come from np.where, the softmax makes three temporaries, Q, K
+    and V are three x @ w + b projections, the layernorms use np.mean and
     every layer's arrays are cached: the expressions the in-place forward
     replaced, kept to pin its bits.
     """
@@ -640,20 +656,24 @@ def _reference_forward(ids, attention_mask, params, config, rng=None,
         ctx = _merge_heads(probs @ v)
         attn = ctx @ params[p + "attn.wo"] + params[p + "attn.bo"]
         attn = _dropout(attn, drop, rng, cache["drop"], f"attn{i}")
-        h1, ln1 = _layernorm(h + attn, params[p + "ln1.gain"], params[p + "ln1.bias"])
+        h1, ln1 = _np_mean_layernorm(h + attn, params[p + "ln1.gain"],
+                                     params[p + "ln1.bias"])
         f1 = h1 @ params[p + "ffn.w1"] + params[p + "ffn.b1"]
         a, t = gelu(f1, with_tanh=True)
         f2 = a @ params[p + "ffn.w2"] + params[p + "ffn.b2"]
         f2 = _dropout(f2, drop, rng, cache["drop"], f"ffn{i}")
         x = h
-        h, ln2 = _layernorm(h1 + f2, params[p + "ln2.gain"], params[p + "ln2.bias"])
+        h, ln2 = _np_mean_layernorm(h1 + f2, params[p + "ln2.gain"],
+                                    params[p + "ln2.bias"])
         cache["layers"].append(dict(x=x, q=q, k=k, v=v, probs=probs, ctx=ctx,
                                     ln1=ln1, h1=h1, f1=f1, a=a, t=t, ln2=ln2))
     return (h, cache) if want_cache else h
 
 
 def _reference_backward(dh, cache, params, config, grads):
-    """encoder_backward with dscores built out of place."""
+    """encoder_backward with dscores built out of place, dq, dk and dv
+    merged per head and projected one at a time, np.mean layernorms and a
+    2-D np.add.at into the tok_emb gradient."""
     scale = 1.0 / math.sqrt(config.head_dim)
 
     def flat(x):
@@ -666,7 +686,8 @@ def _reference_backward(dh, cache, params, config, grads):
     for i in reversed(range(config.num_layers)):
         p = f"layers.{i}."
         lc = cache["layers"][i]
-        dres2, dg2, db2 = _layernorm_backward(dh, lc["ln2"], params[p + "ln2.gain"])
+        dres2, dg2, db2 = _np_mean_layernorm_backward(dh, lc["ln2"],
+                                                      params[p + "ln2.gain"])
         grads[p + "ln2.gain"] += dg2
         grads[p + "ln2.bias"] += db2
         df2 = undrop(dres2, f"ffn{i}")
@@ -676,7 +697,8 @@ def _reference_backward(dh, cache, params, config, grads):
         grads[p + "ffn.w1"] += flat(lc["h1"]).T @ flat(df1)
         grads[p + "ffn.b1"] += df1.sum(axis=(0, 1))
         dh1 = dres2 + df1 @ params[p + "ffn.w1"].T
-        dres1, dg1, db1 = _layernorm_backward(dh1, lc["ln1"], params[p + "ln1.gain"])
+        dres1, dg1, db1 = _np_mean_layernorm_backward(dh1, lc["ln1"],
+                                                      params[p + "ln1.gain"])
         grads[p + "ln1.gain"] += dg1
         grads[p + "ln1.bias"] += db1
         dattn = undrop(dres1, f"attn{i}")
@@ -705,7 +727,7 @@ def _reference_backward(dh, cache, params, config, grads):
 
 
 def _bits(x):
-    return np.ascontiguousarray(x).view(np.uint32)
+    return np.ascontiguousarray(x).view(f"u{x.itemsize}")
 
 
 DROP = ModelConfig(vocab_size=40, hidden_dim=16, num_layers=2, num_heads=2,
@@ -727,18 +749,23 @@ def drop_batch(objective):
     return ids, mask, targets
 
 
-def assert_gradients_match_the_reference(objective, monkeypatch):
-    params = spread_params(DROP, 6, dtype=np.float32)
-    batch = drop_batch(objective)
-    loss, grads = compute_gradients(batch, params, DROP, objective,
+def assert_gradients_match_the_reference(objective, monkeypatch, config=DROP,
+                                         batch=None, dtype=np.float32):
+    """Loss, eval hidden states and every gradient equal the reference's."""
+    params = spread_params(config, 6, dtype=dtype)
+    batch = drop_batch(objective) if batch is None else batch
+    eval_h = encoder_forward(*batch[:2], params, config)
+    loss, grads = compute_gradients(batch, params, config, objective,
                                     rng=np.random.default_rng(4))
     monkeypatch.setattr(model, "encoder_forward", _reference_forward)
     monkeypatch.setattr(model, "encoder_backward", _reference_backward)
     monkeypatch.setattr(model, "_cross_entropy_with_grad", _reference_cross_entropy)
-    want_loss, want = compute_gradients(batch, params, DROP, objective,
+    want_loss, want = compute_gradients(batch, params, config, objective,
                                         rng=np.random.default_rng(4))
+    np.testing.assert_array_equal(
+        _bits(eval_h), _bits(_reference_forward(*batch[:2], params, config)))
     assert loss == want_loss
-    assert grads.flat.dtype == np.float32
+    assert grads.flat.dtype == dtype
     for name in want:
         np.testing.assert_array_equal(_bits(grads[name]), _bits(want[name]),
                                       err_msg=name)
@@ -827,114 +854,6 @@ class TestChunkedAttention:
         assert_gradients_match_the_reference(objective, monkeypatch)
 
 
-def _np_mean_layernorm(x, gain, bias):
-    """_layernorm with np.mean, as it was written before the row means."""
-    xc = x - x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(np.mean(xc * xc, axis=-1, keepdims=True) + model.LN_EPS)
-    y = xc * inv
-    return gain * y + bias, (y, inv)
-
-
-def _np_mean_layernorm_backward(dout, ln_cache, gain):
-    y, inv = ln_cache
-    lead = tuple(range(dout.ndim - 1))
-    dy = dout * gain
-    dx = inv * (dy - dy.mean(axis=-1, keepdims=True)
-                - y * np.mean(dy * y, axis=-1, keepdims=True))
-    return dx, np.sum(dout * y, axis=lead), np.sum(dout, axis=lead)
-
-
-def _three_projection_forward(ids, attention_mask, params, config, rng=None,
-                              want_cache=False):
-    """encoder_forward with one x @ w + b per projection, np.mean layernorms
-    and out-of-place attention over the whole batch."""
-    drop = config.dropout_rate if rng is not None else 0.0
-    cache = {"ids": ids, "mask": attention_mask, "layers": [], "drop": {}}
-    key_ok = (attention_mask == 1)[:, None, None, :]
-    scale = 1.0 / math.sqrt(config.head_dim)
-    h = params["tok_emb"][ids] + params["pos_emb"][: ids.shape[1]][None, :, :]
-    h = _dropout(h, drop, rng, cache["drop"], "emb")
-    for i in range(config.num_layers):
-        p = f"layers.{i}."
-        q, k, v = (_split_heads(h @ params[p + f"attn.w{m}"] + params[p + f"attn.b{m}"],
-                                config.num_heads) for m in "qkv")
-        scores = np.where(key_ok, (q @ k.swapaxes(-1, -2)) * scale, -np.inf)
-        e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
-        probs = e / np.sum(e, axis=-1, keepdims=True)
-        ctx = _merge_heads(probs @ v)
-        attn = ctx @ params[p + "attn.wo"] + params[p + "attn.bo"]
-        attn = _dropout(attn, drop, rng, cache["drop"], f"attn{i}")
-        h1, ln1 = _np_mean_layernorm(h + attn, params[p + "ln1.gain"],
-                                     params[p + "ln1.bias"])
-        f1 = h1 @ params[p + "ffn.w1"] + params[p + "ffn.b1"]
-        a, t = gelu(f1, with_tanh=True)
-        f2 = a @ params[p + "ffn.w2"] + params[p + "ffn.b2"]
-        f2 = _dropout(f2, drop, rng, cache["drop"], f"ffn{i}")
-        x = h
-        h, ln2 = _np_mean_layernorm(h1 + f2, params[p + "ln2.gain"],
-                                    params[p + "ln2.bias"])
-        cache["layers"].append(dict(x=x, q=q, k=k, v=v, probs=probs, ctx=ctx,
-                                    ln1=ln1, h1=h1, f1=f1, a=a, t=t, ln2=ln2))
-    return (h, cache) if want_cache else h
-
-
-def _three_projection_backward(dh, cache, params, config, grads):
-    """encoder_backward with dq, dk and dv merged per head and projected one
-    at a time, and a 2-D np.add.at into the tok_emb gradient."""
-    scale = 1.0 / math.sqrt(config.head_dim)
-
-    def flat(x):
-        return x.reshape(-1, x.shape[-1])
-
-    def undrop(dx, key):
-        keep = cache["drop"].get(key)
-        return dx if keep is None else dx * keep / (1.0 - config.dropout_rate)
-
-    for i in reversed(range(config.num_layers)):
-        p = f"layers.{i}."
-        lc = cache["layers"][i]
-        dres2, dg2, db2 = _np_mean_layernorm_backward(dh, lc["ln2"],
-                                                      params[p + "ln2.gain"])
-        grads[p + "ln2.gain"] += dg2
-        grads[p + "ln2.bias"] += db2
-        df2 = undrop(dres2, f"ffn{i}")
-        grads[p + "ffn.w2"] += flat(lc["a"]).T @ flat(df2)
-        grads[p + "ffn.b2"] += df2.sum(axis=(0, 1))
-        df1 = df2 @ params[p + "ffn.w2"].T
-        df1 *= gelu_grad(lc["f1"], lc["t"])
-        grads[p + "ffn.w1"] += flat(lc["h1"]).T @ flat(df1)
-        grads[p + "ffn.b1"] += df1.sum(axis=(0, 1))
-        dh1 = dres2 + df1 @ params[p + "ffn.w1"].T
-        dres1, dg1, db1 = _np_mean_layernorm_backward(dh1, lc["ln1"],
-                                                      params[p + "ln1.gain"])
-        grads[p + "ln1.gain"] += dg1
-        grads[p + "ln1.bias"] += db1
-        dattn = undrop(dres1, f"attn{i}")
-        grads[p + "attn.wo"] += flat(lc["ctx"]).T @ flat(dattn)
-        grads[p + "attn.bo"] += dattn.sum(axis=(0, 1))
-        dctx = _split_heads(dattn @ params[p + "attn.wo"].T, config.num_heads)
-        dv = lc["probs"].swapaxes(-1, -2) @ dctx
-        rowsum = np.sum(dctx * _split_heads(lc["ctx"], config.num_heads),
-                        axis=-1, keepdims=True)
-        dscores = lc["probs"] * (dctx @ lc["v"].swapaxes(-1, -2) - rowsum)
-        dq = (dscores @ lc["k"]) * scale
-        dk = (dscores.swapaxes(-1, -2) @ lc["q"]) * scale
-        dx = dres1
-        for m, dm in (("q", dq), ("k", dk), ("v", dv)):
-            dm_m = _merge_heads(dm)
-            grads[p + f"attn.w{m}"] += flat(lc["x"]).T @ flat(dm_m)
-            grads[p + f"attn.b{m}"] += dm_m.sum(axis=(0, 1))
-            dx = dx + dm_m @ params[p + f"attn.w{m}"].T
-        dh = dx
-    dh = undrop(dh, "emb")
-    np.add.at(grads["tok_emb"], cache["ids"].reshape(-1), flat(dh))
-    grads["pos_emb"][: cache["ids"].shape[1]] += dh.sum(axis=0)
-
-
-def _any_bits(x):
-    return np.ascontiguousarray(x).view(f"u{x.itemsize}")
-
-
 class TestFusedProjection:
     """One (3, d, d) Q/K/V projection, add.reduce row means and a 1-D add.at
     keep every bit of three projections, np.mean and a 2-D add.at."""
@@ -966,26 +885,12 @@ class TestFusedProjection:
     def test_matches_three_projections(self, shape, objective, dtype, monkeypatch):
         config, b = ((self.ONE_CHUNK, 8) if shape == "one_chunk"
                      else (self.CHUNKED, 3))
-        params = spread_params(config, 6, dtype=dtype)
-        ids, mask, targets = self.batch(config, b, objective)
-        _, cache = encoder_forward(ids, mask, params, config,
-                                   rng=np.random.default_rng(4), want_cache=True)
+        batch = self.batch(config, b, objective)
+        _, cache = encoder_forward(*batch[:2], spread_params(config, 6), config,
+                                   want_cache=True)
         assert ("probs" in cache["layers"][0]) == (shape == "one_chunk")
-        eval_h = encoder_forward(ids, mask, params, config)
-        loss, grads = compute_gradients((ids, mask, targets), params, config,
-                                        objective, rng=np.random.default_rng(4))
-        monkeypatch.setattr(model, "encoder_forward", _three_projection_forward)
-        monkeypatch.setattr(model, "encoder_backward", _three_projection_backward)
-        want_loss, want = compute_gradients((ids, mask, targets), params, config,
-                                            objective, rng=np.random.default_rng(4))
-        np.testing.assert_array_equal(
-            _any_bits(eval_h), _any_bits(_three_projection_forward(ids, mask, params,
-                                                                   config)))
-        assert loss == want_loss
-        assert grads.flat.dtype == dtype
-        for name in want:
-            np.testing.assert_array_equal(_any_bits(grads[name]),
-                                          _any_bits(want[name]), err_msg=name)
+        assert_gradients_match_the_reference(objective, monkeypatch, config,
+                                             batch, dtype)
 
     def test_stacked_views_back_to_back_tensors(self):
         params = init_params(TINY, seed=0)
@@ -1009,7 +914,7 @@ class TestFusedProjection:
         np.add.at(want, ids, x)
         cells = ids.reshape(-1, 1) * 32 + np.arange(32)
         np.add.at(g.reshape(-1), cells.reshape(-1), x.reshape(-1))
-        np.testing.assert_array_equal(_any_bits(g), _any_bits(want))
+        np.testing.assert_array_equal(_bits(g), _bits(want))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("width", [17, 32, 64, 512])
@@ -1020,7 +925,7 @@ class TestFusedProjection:
         got = model._row_mean(x)
         assert got.dtype == dtype
         np.testing.assert_array_equal(
-            _any_bits(got), _any_bits(np.mean(x, axis=-1, keepdims=True)))
+            _bits(got), _bits(np.mean(x, axis=-1, keepdims=True)))
 
 
 def traced_peak(fn) -> int:
