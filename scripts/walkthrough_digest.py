@@ -13,11 +13,19 @@ one MLM `compute_gradients` step and the hidden states of one eval
 vocab 2,000, dropout 0.1, one padded row), where attention runs in chunks.
 Every path handed to the CLI is relative to OUT, so no absolute path ends
 up in an artifact and two runs into different directories can be diffed.
-esglm is imported from PYTHONPATH, so the same script digests any checkout:
+Three `#` lines head the digest: the numpy, BLAS and Python versions, on
+which the float bits depend.  esglm is imported from PYTHONPATH, so the
+same script digests any checkout:
 
     PYTHONPATH=src python3 scripts/walkthrough_digest.py OUT > new.txt
     PYTHONPATH=/path/to/other/src python3 scripts/walkthrough_digest.py OUT2 > old.txt
     diff old.txt new.txt
+
+`fixtures/walkthrough.sha256` holds this script's output for the current
+tree; `tests/test_walkthrough.py` reruns it through `digest_lines` and
+names every line that moved.  An output change rewrites the fixture:
+
+    PYTHONPATH=src python3 scripts/walkthrough_digest.py OUT > fixtures/walkthrough.sha256
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ import sys
 from pathlib import Path
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+DIGEST = FIXTURES / "walkthrough.sha256"
 
 
 def walkthrough_steps(fix: str) -> list[tuple[str, list[str]]]:
@@ -114,34 +123,65 @@ def paper_step_digest() -> str:
     return sha256(repr(loss).encode() + grads.flat.tobytes() + hidden.tobytes())
 
 
+def machine_header() -> list[str]:
+    """The `#` lines naming what the float bits depend on."""
+    import platform
+
+    import numpy as np
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except (KeyError, TypeError):
+        blas = "unknown"
+    return [f"# numpy {np.__version__}", f"# blas {blas}",
+            f"# python {platform.python_version()}"]
+
+
+def digest_lines(root: Path) -> list[str]:
+    """The header, then the digest of a walkthrough run written under root."""
+    from esglm.cli import main as esglm_main
+
+    root.mkdir(parents=True, exist_ok=True)
+    with contextlib.chdir(root):
+        if Path("out").exists():
+            raise RuntimeError(f"{root}/out already exists; give an empty OUT")
+        for task in ("a", "b"):
+            Path("out", task).mkdir(parents=True)
+        fix = os.path.relpath(FIXTURES)
+        lines = machine_header()
+        for step, args in walkthrough_steps(fix):
+            captured = io.StringIO()
+            with contextlib.redirect_stdout(captured):
+                code = esglm_main(args)
+            if code != 0:
+                raise RuntimeError(f"step {step} exited with {code}")
+            lines.append(f"{sha256(captured.getvalue().encode())}  stdout/{step}")
+        for path in sorted(p for p in Path("out").rglob("*") if p.is_file()):
+            lines.append(f"{sha256(path.read_bytes())}  {path.as_posix()}")
+        lines.append(f"{replication_digest()}  replication/seed0")
+        lines.append(f"{paper_step_digest()}  paper_step/seed0")
+    return lines
+
+
+def moved_lines(want: list[str], got: list[str]) -> list[str]:
+    """The names whose digest differs between two digests, or that only one has."""
+    def by_name(lines):
+        pairs = (line.split("  ", 1) for line in lines if not line.startswith("#"))
+        return {name: sha for sha, name in pairs}
+    want, got = by_name(want), by_name(got)
+    return sorted(n for n in want.keys() | got.keys() if want.get(n) != got.get(n))
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 1
-    from esglm.cli import main as esglm_main
-
-    root = Path(argv[0])
-    root.mkdir(parents=True, exist_ok=True)
-    os.chdir(root)
-    if Path("out").exists():
-        print(f"{root}/out already exists; give an empty OUT", file=sys.stderr)
+    try:
+        lines = digest_lines(Path(argv[0]))
+    except RuntimeError as exc:
+        print(exc, file=sys.stderr)
         return 1
-    for task in ("a", "b"):
-        Path("out", task).mkdir(parents=True)
-    fix = os.path.relpath(FIXTURES)
-    lines = []
-    for step, args in walkthrough_steps(fix):
-        captured = io.StringIO()
-        with contextlib.redirect_stdout(captured):
-            code = esglm_main(args)
-        if code != 0:
-            print(f"step {step} exited with {code}", file=sys.stderr)
-            return code
-        lines.append(f"{sha256(captured.getvalue().encode())}  stdout/{step}")
-    for path in sorted(p for p in Path("out").rglob("*") if p.is_file()):
-        lines.append(f"{sha256(path.read_bytes())}  {path.as_posix()}")
-    lines.append(f"{replication_digest()}  replication/seed0")
-    lines.append(f"{paper_step_digest()}  paper_step/seed0")
     print("\n".join(lines))
     return 0
 
