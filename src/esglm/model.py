@@ -124,15 +124,27 @@ class ParameterSet:
         """Copy tensors into a new buffer, or, given flat, view it in their shapes."""
         if flat is None:
             flat = np.concatenate([np.ravel(t) for t in tensors.values()])
-        self.flat = flat
         self.layout = [(name, np.shape(t)) for name, t in tensors.items()]
-        self.tensors: dict[str, np.ndarray] = {}
         self.offsets: dict[str, int] = {}
         end = 0
         for name, shape in self.layout:
             start, end = end, end + math.prod(shape)
             self.offsets[name] = start
-            self.tensors[name] = flat[start:end].reshape(shape)
+        self._view(flat)
+
+    def _view(self, flat: np.ndarray) -> None:
+        """Make flat the buffer, viewed at the recorded offsets in `layout` shapes."""
+        self.flat = flat
+        self.tensors: dict[str, np.ndarray] = {
+            name: flat[start:start + math.prod(shape)].reshape(shape)
+            for (name, shape), start in zip(self.layout, self.offsets.values())}
+
+    def _like(self, flat: np.ndarray) -> "ParameterSet":
+        """A set over flat that shares this one's layout and offsets."""
+        new = object.__new__(ParameterSet)
+        new.layout, new.offsets = self.layout, self.offsets
+        new._view(flat)
+        return new
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
@@ -162,10 +174,10 @@ class ParameterSet:
         return self.flat[start:start + len(names) * size].reshape(len(names), *shape)
 
     def zeros_like(self) -> "ParameterSet":
-        return ParameterSet(self.tensors, np.zeros_like(self.flat))
+        return self._like(np.zeros_like(self.flat))
 
     def copy(self) -> "ParameterSet":
-        return ParameterSet(self.tensors, self.flat.copy())
+        return self._like(self.flat.copy())
 
 
 def _trunc_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
