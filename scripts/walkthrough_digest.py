@@ -143,7 +143,9 @@ def digest_lines(root: Path) -> list[str]:
     from esglm.cli import main as esglm_main
 
     root.mkdir(parents=True, exist_ok=True)
-    with contextlib.chdir(root):
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
         if Path("out").exists():
             raise RuntimeError(f"{root}/out already exists; give an empty OUT")
         for task in ("a", "b"):
@@ -161,6 +163,8 @@ def digest_lines(root: Path) -> list[str]:
             lines.append(f"{sha256(path.read_bytes())}  {path.as_posix()}")
         lines.append(f"{replication_digest()}  replication/seed0")
         lines.append(f"{paper_step_digest()}  paper_step/seed0")
+    finally:
+        os.chdir(cwd)
     return lines
 
 
