@@ -315,9 +315,10 @@ def _attention(q, k, v, key_pad, scale):
     return _merge_heads(heads), {"row_max": row_max, "row_sum": row_sum}
 
 
-def _rebuilt_probs(lc, key_pad, scale, e: slice):
-    """The forward's probs for examples e, bit for bit, from its row max and sum."""
-    probs = _masked_scores(lc["q"][e], lc["k"][e], key_pad[e], scale)
+def _rebuilt_probs(q, k, lc, key_pad, scale, e: slice):
+    """The forward's probs for examples e, bit for bit, from its q and k and
+    the row max and sum in its layer cache lc."""
+    probs = _masked_scores(q[e], k[e], key_pad[e], scale)
     probs -= lc["row_max"][e]
     np.exp(probs, out=probs)
     probs /= lc["row_sum"][e]
@@ -342,11 +343,28 @@ def _qkv_names(prefix: str, kind: str) -> tuple[str, str, str]:
     return tuple(f"{prefix}attn.{kind}{m}" for m in "qkv")
 
 
+def _project_qkv(x, params, prefix, num_heads):
+    """q, k, v of one layer as (B, H, S, dh) views of one (3, B, S, d) projection."""
+    b, s, _ = x.shape
+    qkv = x @ params.stacked(*_qkv_names(prefix, "w"))[:, None]
+    qkv += params.stacked(*_qkv_names(prefix, "b"))[:, None, None]
+    return qkv.reshape(3, b, s, num_heads, -1).transpose(0, 1, 3, 2, 4)
+
+
+def _keep_mask(state, shape, rate):
+    """The keep mask a generator in the given state draws."""
+    rng = np.random.Generator(getattr(np.random, state["bit_generator"])())
+    rng.bit_generator.state = state
+    return rng.random(shape) >= rate
+
+
 def _dropout(x, rate, rng, cache_slot, key):
+    """Dropout at rate; caches the rng's state before the draw, from which
+    the backward redraws the keep mask, bit for bit."""
     if rate <= 0.0:
         return x
+    cache_slot[key] = rng.bit_generator.state
     keep = rng.random(x.shape) >= rate
-    cache_slot[key] = keep
     return x * keep / (1.0 - rate)
 
 
@@ -388,10 +406,7 @@ def encoder_forward(
     for i in range(config.num_layers):
         p = f"layers.{i}."
         x = h
-        # one (3, B, S, d) projection; q, k and v are (B, H, S, dh) views of it
-        qkv = x @ params.stacked(*_qkv_names(p, "w"))[:, None]
-        qkv += params.stacked(*_qkv_names(p, "b"))[:, None, None]
-        q, k, v = qkv.reshape(3, b, s, config.num_heads, -1).transpose(0, 1, 3, 2, 4)
+        q, k, v = _project_qkv(x, params, p, config.num_heads)
         ctx, softmax = _attention(q, k, v, key_pad, scale)
         attn = ctx @ params[p + "attn.wo"] + params[p + "attn.bo"]
         attn = _dropout(attn, drop, rng, cache["drop"], f"attn{i}")
@@ -406,10 +421,13 @@ def encoder_forward(
             h1 + f2, params[p + "ln2.gain"], params[p + "ln2.bias"]
         )
         if want_cache:  # an eval forward keeps no layer's arrays
-            cache["layers"].append(dict(  # x, h1 and a: rebuilt by the backward
-                q=q, k=k, v=v, ctx=ctx, ln1=ln1_cache,
-                f1=f1, t=t, ln2=ln2_cache, **softmax))
-        del softmax  # else probs stay alive while the next layer's are built
+            # x, h1 and a are rebuilt by the backward, and so are q, k and v
+            # where the probs are: on the chunked path
+            lc = dict(ctx=ctx, ln1=ln1_cache, f1=f1, t=t, ln2=ln2_cache, **softmax)
+            if "probs" in softmax:
+                lc.update(q=q, k=k, v=v)
+            cache["layers"].append(lc)
+        del q, k, v, softmax  # else they stay alive while the next layer's are built
 
     return (h, cache) if want_cache else h
 
@@ -421,23 +439,31 @@ def encoder_backward(
     config: ModelConfig,
     grads: ParameterSet,
 ) -> None:
-    """Accumulate d(loss)/d(param) into grads, given d(loss)/d(hidden)."""
+    """Accumulate d(loss)/d(param) into grads, given d(loss)/d(hidden).
+
+    Consumes the cache: each layer's arrays are dropped as soon as the
+    backward is done with them, so a cache serves one backward only.
+    """
     scale = 1.0 / math.sqrt(config.head_dim)
+    rate = config.dropout_rate
 
     def flat(x):
         return x.reshape(-1, x.shape[-1])
 
-    def undrop(dx, key):  # the backward of _dropout, where it kept a mask
-        keep = cache["drop"].get(key)
-        return dx if keep is None else dx * keep / (1.0 - config.dropout_rate)
+    def undrop(dx, key):  # the backward of _dropout, with its mask redrawn
+        state = cache["drop"].get(key)
+        if state is None:
+            return dx
+        return dx * _keep_mask(state, dx.shape, rate) / (1.0 - rate)
 
     def ln_out(name, ln_cache):  # a layernorm's output, as _layernorm formed it
         return params[name + ".gain"] * ln_cache[0] + params[name + ".bias"]
 
     for i in reversed(range(config.num_layers)):
         p = f"layers.{i}."
-        lc = cache["layers"][i]
-        dres2, dg2, db2 = _layernorm_backward(dh, lc["ln2"], params[p + "ln2.gain"])
+        lc = cache["layers"].pop()
+        dres2, dg2, db2 = _layernorm_backward(dh, lc.pop("ln2"),
+                                              params[p + "ln2.gain"])
         grads[p + "ln2.gain"] += dg2
         grads[p + "ln2.bias"] += db2
 
@@ -452,9 +478,10 @@ def encoder_backward(
         grads[p + "ffn.w1"] += flat(h1).T @ flat(df1)
         grads[p + "ffn.b1"] += np.add.reduce(df1, axis=(0, 1))
         dh1 = dres2 + df1 @ params[p + "ffn.w1"].T
-        del dres2, df2, df1, h1
+        del dres2, df2, df1, h1, lc["f1"], lc["t"]
 
-        dres1, dg1, db1 = _layernorm_backward(dh1, lc["ln1"], params[p + "ln1.gain"])
+        dres1, dg1, db1 = _layernorm_backward(dh1, lc.pop("ln1"),
+                                              params[p + "ln1.gain"])
         del dh1
         grads[p + "ln1.gain"] += dg1
         grads[p + "ln1.bias"] += db1
@@ -467,9 +494,14 @@ def encoder_backward(
 
         # dscores = probs * (dprobs - rowsum); as ctx = probs @ v,
         # rowsum = sum_j dprobs * probs = dctx . ctx
-        rowsum = np.add.reduce(dctx * _split_heads(lc["ctx"], config.num_heads),
+        rowsum = np.add.reduce(dctx * _split_heads(lc.pop("ctx"), config.num_heads),
                                -1, keepdims=True)
-        q, k, v = lc["q"], lc["k"], lc["v"]
+        x = cache["emb_out"] if i == 0 else ln_out(
+            f"layers.{i - 1}.ln2", cache["layers"][-1]["ln2"])
+        if "probs" in lc:
+            q, k, v = lc["q"], lc["k"], lc["v"]
+        else:  # the forward's own projection, so the same bits
+            q, k, v = _project_qkv(x, params, p, config.num_heads)
         # dq, dk, dv land in (B, H, S, dh) views of one (3, B, S, H, dh)
         # buffer, which then reads as (3, B, S, d) with heads merged
         b, h, s, d_h = q.shape
@@ -481,13 +513,11 @@ def encoder_backward(
             key_pad = (cache["mask"] != 1)[:, None, None, :]
             n = _examples_per_chunk(q)
             for e in (slice(c, c + n) for c in range(0, b, n)):
-                _score_grads(_rebuilt_probs(lc, key_pad, scale, e), dctx[e],
+                _score_grads(_rebuilt_probs(q, k, lc, key_pad, scale, e), dctx[e],
                              rowsum[e], q[e], k[e], v[e], scale, heads[:, e])
         dqkv = dqkv.reshape(3, b, s, h * d_h)
-        del dctx, heads
+        del dctx, heads, q, k, v, lc
 
-        x = cache["emb_out"] if i == 0 else ln_out(
-            f"layers.{i - 1}.ln2", cache["layers"][i - 1]["ln2"])
         dw = grads.stacked(*_qkv_names(p, "w"))
         dw += flat(x).T @ dqkv.reshape(3, -1, h * d_h)
         db = grads.stacked(*_qkv_names(p, "b"))
