@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -135,3 +137,53 @@ class TestRejection:
         bad.write_bytes(b"ESGB" + (1).to_bytes(4, "little"))
         with pytest.raises(CorruptCheckpoint):
             load_checkpoint(bad)
+
+
+class TestCrc:
+    """Format 2 ends in a CRC32 of every byte before it."""
+
+    def test_flipped_seed_digit_is_detected(self, tmp_path):
+        # "seed": 7 -> "seed": 6 is one bit and still valid metadata
+        _, path = saved(tmp_path, seed=7)
+        raw = bytearray(path.read_bytes())
+        raw[raw.index(b'"seed": 7') + len(b'"seed": ')] ^= 0x01
+        bad = tmp_path / "seed.ckpt"
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(CorruptCheckpoint, match="CRC32"):
+            load_checkpoint(bad)
+
+    def test_every_flipped_byte_is_detected(self, tmp_path):
+        path = tmp_path / "small.ckpt"
+        small = ModelConfig(vocab_size=4, hidden_dim=2, num_layers=1, num_heads=1,
+                            ffn_dim=2, max_seq_len=2)
+        save_checkpoint(init_params(small, seed=0), small,
+                        CheckpointMeta(stage="pretrained", seed=0), path)
+        raw = path.read_bytes()
+        bad = tmp_path / "flip.ckpt"
+        for at in range(len(raw)):
+            flipped = bytearray(raw)
+            flipped[at] ^= 0x01 if at % 2 else 0x80
+            bad.write_bytes(bytes(flipped))
+            header = (NotACheckpoint, UnsupportedVersion) if at < 8 else ()
+            with pytest.raises((CorruptCheckpoint, *header)):
+                load_checkpoint(bad)
+
+    def test_format_1_files_still_load(self, tmp_path):
+        # a format 1 file is a format 2 file with version 1 and no CRC32
+        params, path = saved(tmp_path)
+        raw = bytearray(path.read_bytes()[:-4])
+        raw[4:8] = (1).to_bytes(4, "little")
+        old = tmp_path / "v1.ckpt"
+        old.write_bytes(bytes(raw))
+        loaded, config, meta = load_checkpoint(old)
+        assert config == CFG and meta.seed == 7
+        assert loaded.flat.tobytes() == params.flat.tobytes()
+        with pytest.raises(CorruptCheckpoint):  # format 1 has no trailer
+            old.write_bytes(bytes(raw) + path.read_bytes()[-4:])
+            load_checkpoint(old)
+
+    def test_trailer_is_the_crc32_of_the_body(self, tmp_path):
+        _, path = saved(tmp_path)
+        raw = path.read_bytes()
+        assert int.from_bytes(raw[4:8], "little") == 2
+        assert int.from_bytes(raw[-4:], "little") == zlib.crc32(raw[:-4])
