@@ -351,13 +351,6 @@ def _project_qkv(x, params, prefix, num_heads):
     return qkv.reshape(3, b, s, num_heads, -1).transpose(0, 1, 3, 2, 4)
 
 
-def _keep_mask(state, shape, rate):
-    """The keep mask a generator in the given state draws."""
-    rng = np.random.Generator(getattr(np.random, state["bit_generator"])())
-    rng.bit_generator.state = state
-    return rng.random(shape) >= rate
-
-
 def _dropout(x, rate, rng, cache_slot, key):
     """Dropout at rate; caches the rng's state before the draw, from which
     the backward redraws the keep mask, bit for bit."""
@@ -454,7 +447,9 @@ def encoder_backward(
         state = cache["drop"].get(key)
         if state is None:
             return dx
-        return dx * _keep_mask(state, dx.shape, rate) / (1.0 - rate)
+        rng = np.random.Generator(getattr(np.random, state["bit_generator"])())
+        rng.bit_generator.state = state
+        return dx * (rng.random(dx.shape) >= rate) / (1.0 - rate)
 
     def ln_out(name, ln_cache):  # a layernorm's output, as _layernorm formed it
         return params[name + ".gain"] * ln_cache[0] + params[name + ".bias"]
@@ -498,25 +493,24 @@ def encoder_backward(
                                -1, keepdims=True)
         x = cache["emb_out"] if i == 0 else ln_out(
             f"layers.{i - 1}.ln2", cache["layers"][-1]["ln2"])
-        if "probs" in lc:
-            q, k, v = lc["q"], lc["k"], lc["v"]
-        else:  # the forward's own projection, so the same bits
-            q, k, v = _project_qkv(x, params, p, config.num_heads)
         # dq, dk, dv land in (B, H, S, dh) views of one (3, B, S, H, dh)
         # buffer, which then reads as (3, B, S, d) with heads merged
-        b, h, s, d_h = q.shape
+        b, h, s, d_h = dctx.shape
         dqkv = np.empty((3, b, s, h, d_h), dctx.dtype)
         heads = dqkv.transpose(0, 1, 3, 2, 4)
         if "probs" in lc:
-            _score_grads(lc["probs"], dctx, rowsum, q, k, v, scale, heads)
-        else:  # chunk by chunk, as the forward ran
+            _score_grads(lc["probs"], dctx, rowsum, lc["q"], lc["k"], lc["v"],
+                         scale, heads)
+        else:  # chunk by chunk, as the forward ran, with its own projection
+            q, k, v = _project_qkv(x, params, p, config.num_heads)
             key_pad = (cache["mask"] != 1)[:, None, None, :]
             n = _examples_per_chunk(q)
             for e in (slice(c, c + n) for c in range(0, b, n)):
                 _score_grads(_rebuilt_probs(q, k, lc, key_pad, scale, e), dctx[e],
                              rowsum[e], q[e], k[e], v[e], scale, heads[:, e])
+            del q, k, v
         dqkv = dqkv.reshape(3, b, s, h * d_h)
-        del dctx, heads, q, k, v, lc
+        del dctx, heads, lc
 
         dw = grads.stacked(*_qkv_names(p, "w"))
         dw += flat(x).T @ dqkv.reshape(3, -1, h * d_h)
