@@ -382,7 +382,7 @@ def encoder_forward(
         raise ShapeError(
             f"ids {ids.shape} / attention_mask {attention_mask.shape}"
         )
-    b, s = ids.shape
+    s = ids.shape[1]
     if s > config.max_seq_len:
         raise ShapeError(f"sequence length {s} > max_seq_len {config.max_seq_len}")
 
