@@ -414,12 +414,9 @@ def encoder_forward(
             h1 + f2, params[p + "ln2.gain"], params[p + "ln2.bias"]
         )
         if want_cache:  # an eval forward keeps no layer's arrays
-            # x, h1 and a are rebuilt by the backward, and so are q, k and v
-            # where the probs are: on the chunked path
-            lc = dict(ctx=ctx, ln1=ln1_cache, f1=f1, t=t, ln2=ln2_cache, **softmax)
-            if "probs" in softmax:
-                lc.update(q=q, k=k, v=v)
-            cache["layers"].append(lc)
+            # x, h1, a, q, k and v are rebuilt by the backward
+            cache["layers"].append(
+                dict(ctx=ctx, ln1=ln1_cache, f1=f1, t=t, ln2=ln2_cache, **softmax))
         del q, k, v, softmax  # else they stay alive while the next layer's are built
 
     return (h, cache) if want_cache else h
@@ -498,17 +495,16 @@ def encoder_backward(
         b, h, s, d_h = dctx.shape
         dqkv = np.empty((3, b, s, h, d_h), dctx.dtype)
         heads = dqkv.transpose(0, 1, 3, 2, 4)
+        q, k, v = _project_qkv(x, params, p, config.num_heads)  # the forward's own
         if "probs" in lc:
-            _score_grads(lc["probs"], dctx, rowsum, lc["q"], lc["k"], lc["v"],
-                         scale, heads)
-        else:  # chunk by chunk, as the forward ran, with its own projection
-            q, k, v = _project_qkv(x, params, p, config.num_heads)
+            _score_grads(lc["probs"], dctx, rowsum, q, k, v, scale, heads)
+        else:  # chunk by chunk, as the forward ran
             key_pad = (cache["mask"] != 1)[:, None, None, :]
             n = _examples_per_chunk(q)
             for e in (slice(c, c + n) for c in range(0, b, n)):
                 _score_grads(_rebuilt_probs(q, k, lc, key_pad, scale, e), dctx[e],
                              rowsum[e], q[e], k[e], v[e], scale, heads[:, e])
-            del q, k, v
+        del q, k, v
         dqkv = dqkv.reshape(3, b, s, h * d_h)
         del dctx, heads, lc
 

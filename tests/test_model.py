@@ -999,13 +999,15 @@ class TestMemory:
         assert peak <= 1.4 * self.UNIT, peak / self.UNIT
 
     def test_layer_cache_holds_no_cheap_activation(self):
-        # the backward rebuilds x, h1 and gelu's a from the layernorm caches
+        # one chunk covers the batch: the backward rebuilds x, h1 and gelu's
+        # a from the layernorm caches, and q, k and v from x
         ids, mask, _ = self.batch()
         _, cache = encoder_forward(ids[:2, :64], mask[:2, :64],
                                    init_params(WIDE, seed=0), WIDE,
                                    rng=np.random.default_rng(1), want_cache=True)
         for lc in cache["layers"]:
-            assert not {"x", "h1", "a"} & set(lc), sorted(lc)
+            assert "probs" in lc, sorted(lc)
+            assert not {"x", "h1", "a", "q", "k", "v"} & set(lc), sorted(lc)
 
     def test_chunked_layer_cache_holds_no_projection_or_mask(self):
         # at S 512 each example is its own chunk: the backward rebuilds q,
