@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 import zlib
 from dataclasses import asdict, dataclass
@@ -78,60 +77,66 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> tuple[ParameterSet, ModelConfig, CheckpointMeta]:
-    """Read and validate a checkpoint; shapes are checked against the config."""
+    """Read and validate a checkpoint; shapes are checked against the config.
+
+    The file is read once; a version 2 file's CRC32 is checked before any
+    record is parsed, so its corruption reads as a CRC32 mismatch.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise NotACheckpoint(f"{path}: bad magic {magic!r}")
-        end = os.fstat(fh.fileno()).st_size
+        raw = memoryview(fh.read())
+    magic = bytes(raw[:len(MAGIC)])
+    if magic != MAGIC:
+        raise NotACheckpoint(f"{path}: bad magic {magic!r}")
+    pos, end = len(MAGIC), len(raw)
 
-        def read(n: int, what: str) -> bytes:
-            """n bytes, refused before reading when fewer are left before end."""
-            left = end - fh.tell()
-            if n > left:
-                raise CorruptCheckpoint(f"truncated: {what} needs {n} bytes, {left} left")
-            return fh.read(n)
+    def read(n: int, what: str) -> memoryview:
+        """The next n bytes, refused when fewer are left before end."""
+        nonlocal pos
+        if n > end - pos:
+            raise CorruptCheckpoint(f"truncated: {what} needs {n} bytes, {end - pos} left")
+        pos += n
+        return raw[pos - n:pos]
 
-        (version,) = struct.unpack("<I", read(4, "version"))
-        if version > FORMAT_VERSION:
-            raise UnsupportedVersion(
-                f"{path}: format version {version} > supported {FORMAT_VERSION}"
-            )
-        if version >= 2:
-            end -= 4  # the crc32 trailer
-        (meta_len,) = struct.unpack("<I", read(4, "meta length"))
-        try:
-            doc = json.loads(read(meta_len, "metadata").decode("utf-8"))
-            config = ModelConfig(**doc.pop("model_config"))
-            meta = CheckpointMeta(**doc)
-        except (AttributeError, ValueError, KeyError, TypeError, InvalidConfig) as exc:
-            raise CorruptCheckpoint(f"{path}: bad metadata: {exc}") from None
-        if not (isinstance(meta.stage, str) and type(meta.seed) is int
-                and isinstance(meta.train_config, (dict, type(None)))):
-            raise CorruptCheckpoint(f"{path}: bad metadata types: {meta}")
+    (version,) = struct.unpack("<I", read(4, "version"))
+    if version > FORMAT_VERSION:
+        raise UnsupportedVersion(
+            f"{path}: format version {version} > supported {FORMAT_VERSION}"
+        )
+    if version >= 2:  # the trailer, checked against every byte before it
+        if end - pos < 4:
+            raise CorruptCheckpoint(f"truncated: crc32 needs 4 bytes, {end - pos} left")
+        end -= 4
+        (crc,) = struct.unpack("<I", raw[end:])
+        if zlib.crc32(raw[:end]) != crc:
+            raise CorruptCheckpoint(f"{path}: CRC32 mismatch")
+    (meta_len,) = struct.unpack("<I", read(4, "meta length"))
+    try:
+        doc = json.loads(bytes(read(meta_len, "metadata")).decode("utf-8"))
+        config = ModelConfig(**doc.pop("model_config"))
+        meta = CheckpointMeta(**doc)
+    except (AttributeError, ValueError, KeyError, TypeError, InvalidConfig) as exc:
+        raise CorruptCheckpoint(f"{path}: bad metadata: {exc}") from None
+    if not (isinstance(meta.stage, str) and type(meta.seed) is int
+            and isinstance(meta.train_config, (dict, type(None)))):
+        raise CorruptCheckpoint(f"{path}: bad metadata types: {meta}")
 
-        (count,) = struct.unpack("<I", read(4, "tensor count"))
-        tensors: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", read(4, "name length"))
-            name = read(name_len, "tensor name").decode("utf-8", "replace")
-            dtype_code, rank = struct.unpack("<BB", read(2, "dtype/rank"))
-            if dtype_code not in _DTYPES:
-                raise CorruptCheckpoint(f"{path}: unknown dtype {dtype_code}")
-            if rank > 2:  # every parameter is a vector or a matrix
-                raise CorruptCheckpoint(f"{path}: rank {rank} for {name}")
-            dims = struct.unpack(f"<{rank}I", read(4 * rank, "dims"))
-            dtype = _DTYPES[dtype_code]
-            n_bytes = math.prod(dims) * dtype.itemsize  # Python ints never wrap
-            payload = read(n_bytes, f"payload of {name}")
-            tensors[name] = np.frombuffer(payload, dtype=dtype).reshape(dims)
-        if fh.tell() != end:
-            raise CorruptCheckpoint(f"{path}: trailing bytes after tensors")
-        if version >= 2:
-            (crc,) = struct.unpack("<I", fh.read(4))
-            fh.seek(0)
-            if zlib.crc32(fh.read(end)) != crc:
-                raise CorruptCheckpoint(f"{path}: CRC32 mismatch")
+    (count,) = struct.unpack("<I", read(4, "tensor count"))
+    tensors: dict[str, np.ndarray] = {}
+    for _ in range(count):
+        (name_len,) = struct.unpack("<I", read(4, "name length"))
+        name = bytes(read(name_len, "tensor name")).decode("utf-8", "replace")
+        dtype_code, rank = struct.unpack("<BB", read(2, "dtype/rank"))
+        if dtype_code not in _DTYPES:
+            raise CorruptCheckpoint(f"{path}: unknown dtype {dtype_code}")
+        if rank > 2:  # every parameter is a vector or a matrix
+            raise CorruptCheckpoint(f"{path}: rank {rank} for {name}")
+        dims = struct.unpack(f"<{rank}I", read(4 * rank, "dims"))
+        dtype = _DTYPES[dtype_code]
+        n_bytes = math.prod(dims) * dtype.itemsize  # Python ints never wrap
+        payload = read(n_bytes, f"payload of {name}")
+        tensors[name] = np.frombuffer(payload, dtype=dtype).reshape(dims)
+    if pos != end:
+        raise CorruptCheckpoint(f"{path}: trailing bytes after tensors")
 
     expected = parameter_shapes(config)
     shapes = {name: t.shape for name, t in tensors.items()}
