@@ -138,6 +138,14 @@ def machine_header() -> list[str]:
             f"# python {platform.python_version()}"]
 
 
+class StepFailed(RuntimeError):
+    """A walkthrough step exited non-zero; code is its exit code."""
+
+    def __init__(self, step: str, code: int):
+        super().__init__(f"step {step} exited with {code}")
+        self.code = code
+
+
 def digest_lines(root: Path) -> list[str]:
     """The header, then the digest of a walkthrough run written under root."""
     from esglm.cli import main as esglm_main
@@ -157,7 +165,7 @@ def digest_lines(root: Path) -> list[str]:
             with contextlib.redirect_stdout(captured):
                 code = esglm_main(args)
             if code != 0:
-                raise RuntimeError(f"step {step} exited with {code}")
+                raise StepFailed(step, code)
             lines.append(f"{sha256(captured.getvalue().encode())}  stdout/{step}")
         for path in sorted(p for p in Path("out").rglob("*") if p.is_file()):
             lines.append(f"{sha256(path.read_bytes())}  {path.as_posix()}")
@@ -183,7 +191,10 @@ def main(argv: list[str]) -> int:
         return 1
     try:
         lines = digest_lines(Path(argv[0]))
-    except RuntimeError as exc:
+    except StepFailed as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
+    except RuntimeError as exc:  # OUT already holds an out directory
         print(exc, file=sys.stderr)
         return 1
     print("\n".join(lines))

@@ -32,3 +32,14 @@ def test_moved_lines_names_changed_missing_and_new_lines(walkthrough_digest):
     want = ["# numpy 1", "aa  out/x", "bb  out/y", "cc  out/z"]
     got = ["# numpy 2", "aa  out/x", "bd  out/y", "dd  out/w"]
     assert walkthrough_digest.moved_lines(want, got) == ["out/w", "out/y", "out/z"]
+
+
+def test_a_failed_step_exits_with_its_own_code(walkthrough_digest, tmp_path,
+                                               monkeypatch, capsys):
+    # vocab over a corpus with no documents is an input error: exit 2
+    monkeypatch.setattr(walkthrough_digest, "walkthrough_steps", lambda fix: [
+        ("vocab", ["vocab", "--config", f"{fix}/fixture.cfg", "--corpus", "missing",
+                   "--out", "out/vocab.txt"])])
+    assert walkthrough_digest.main([str(tmp_path)]) == 2
+    assert "step vocab exited with 2" in capsys.readouterr().err
+    assert walkthrough_digest.main([str(tmp_path)]) == 1  # out/ already exists
