@@ -13,7 +13,7 @@ heap behaviour.
 import ctypes
 
 from .model import ModelConfig, ParameterSet, TrainConfig, init_params
-from .tokenizer import Vocab, decode, encode, prepare_input, train_vocab
+from .tokenizer import Vocab, encode, prepare_input, train_vocab
 
 __version__ = "0.1.0"
 
@@ -42,7 +42,6 @@ __all__ = [
     "ParameterSet",
     "TrainConfig",
     "Vocab",
-    "decode",
     "encode",
     "init_params",
     "prepare_input",

@@ -133,6 +133,8 @@ def load_config(path: str | None) -> PipelineConfig:
                 updates[key] = int(value)
             elif isinstance(default, float):
                 updates[key] = float(value)
+                if not np.isfinite(updates[key]):
+                    raise ValueError(value)
             else:
                 updates[key] = value
         except (ValueError, KeyError):
@@ -326,14 +328,12 @@ def cmd_finetune(args, cfg: PipelineConfig) -> int:
             )
         name = args.name or "domain_lm"
     else:
-        vocab_size = meta.get("vocab_size")
-        if not vocab_size:
-            raise DataError("dataset meta has no vocab_size; cannot --fresh init")
-        config = model_config(cfg, vocab_size)
-        if config.max_seq_len < meta["max_seq_len"]:
-            config = model_config(
-                replace(cfg, seq_len=meta["max_seq_len"]), vocab_size
-            )
+        for key in ("vocab_size", "max_seq_len"):
+            if meta.get(key) is None:
+                raise DataError(f"{args.data}: meta.json has no {key}; "
+                                "cannot --fresh init")
+        seq_len = max(cfg.seq_len, meta["max_seq_len"])
+        config = model_config(replace(cfg, seq_len=seq_len), meta["vocab_size"])
         params = init_params(config, seed=cfg.seed)
         name = args.name or "base_lm"
 
@@ -388,10 +388,7 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
         )
     meta, splits = data.load_dataset_splits(args.data)
     task = ck_meta.stage.removeprefix("finetuned_")
-    if meta.get("task") not in (task, None):
-        raise CheckpointMismatch(
-            f"dataset task {meta.get('task')!r} != checkpoint task {task!r}"
-        )
+    _check_dataset_task(meta, task)
     check_inputs(config, splits)
     metrics = evaluate_all(partial(predict_labels, params, config), splits, task,
                            args.name, {"checkpoint": str(args.ckpt)})

@@ -352,7 +352,7 @@ def split_dataset(
     exhaustive, and reproducible.  A split left empty is a StratificationError.
     """
     fractions = [spec.train_frac, spec.val_frac, spec.test_frac]
-    if any(f <= 0 for f in fractions):
+    if any(not f > 0 for f in fractions):  # NaN too
         raise StratificationError(f"all split fractions must be > 0: {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise StratificationError(f"split fractions sum to {sum(fractions)}")
@@ -502,17 +502,25 @@ def load_dataset_splits(data_dir) -> tuple[dict, dict[str, list[LabeledExample]]
     """Read meta.json and the three split files back, keyed by SPLIT_NAMES.
 
     A record missing a field, holding the wrong type or an unknown label is
-    an error naming the file and line.
+    an error naming the file and line; so is a meta.json vocab_size or
+    max_seq_len that is neither null nor a positive integer.
     """
     data = Path(data_dir)
     if not (data / "meta.json").exists():
         raise DataError(f"{data_dir} has no meta.json")
 
+    meta = read_json(data / "meta.json")
+    for key in ("vocab_size", "max_seq_len"):  # null: not recorded
+        value = meta.get(key)
+        if value is not None and (type(value) is not int or value < 1):
+            raise DataError(f"{data / 'meta.json'}: {key} must be a positive "
+                            f"integer, got {value!r}")
+
     def parse(rec) -> LabeledExample:
         ids = np.asarray(rec["input_ids"], dtype=np.int64)
         return LabeledExample(**{**rec, "input_ids": ids})
 
-    return read_json(data / "meta.json"), {
+    return meta, {
         name: read_jsonl(data / f"{stem}.jsonl", parse)
         for name, stem in zip(SPLIT_NAMES, _SPLIT_FILES)
     }

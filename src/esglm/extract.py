@@ -3,9 +3,8 @@
 Filings are segmented into sentences, each encoded once.  A filing's
 sentences are embedded in one batched pass of a small deep-averaging encoder
 over the (MLM-adapted) token embeddings, scored by cosine similarity against
-benchmark sentence(s) embedded once per run (score_sentences is the
-one-sentence-at-a-time reference), and the top-k excerpt is emitted ready
-for fixed-length input preparation.
+benchmark sentence(s) embedded once per run, and the top-k excerpt is
+emitted ready for fixed-length input preparation.
 
 The averaging encoder stands in for a pretrained general-purpose sentence
 encoder: same structure (average, feedforward, L2-normalize), desk-scale
@@ -189,18 +188,6 @@ def dan_embed_batch(
     return out / norms[:, None], zero
 
 
-def cosine_similarity(u, v) -> float:
-    """u.v / (|u||v|) of arrays or SentenceEmbeddings (whose flagged vectors
-    are zero); a zero vector ranks last via -inf."""
-    u = np.asarray(getattr(u, "vector", u), dtype=np.float64)
-    v = np.asarray(getattr(v, "vector", v), dtype=np.float64)
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return float("-inf")
-    return float(np.dot(u, v) / (nu * nv))
-
-
 class DanEmbedder:
     """Bundles vocab, token embeddings, and frozen DAN weights."""
 
@@ -233,17 +220,6 @@ def embed_benchmarks(cfg, embedder: DanEmbedder) -> tuple[np.ndarray, np.ndarray
     """cfg's benchmark sentences as (rows, zero mask), for extract_top_k."""
     embs = [embedder.embed(b) for b in cfg.benchmark_sentences]
     return np.array([e.vector for e in embs]), np.array([e.is_zero for e in embs])
-
-
-def score_sentences(
-    sentences: list[Sentence], cfg: ExtractionConfig, embedder: DanEmbedder
-) -> list[float]:
-    """Per-sentence relevance: max cosine over the benchmark embeddings."""
-    benches = [embedder.embed(b) for b in cfg.benchmark_sentences]
-    return [
-        max(cosine_similarity(embedder.embed(s), b) for b in benches)
-        for s in sentences
-    ]
 
 
 def extract_top_k(

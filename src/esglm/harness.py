@@ -176,7 +176,7 @@ def run_finetune(
         batch = (*trim_batch(np.stack([train[i].input_ids for i in take])), labels[take])
         loss, grads = compute_gradients(batch, params, config, "classify", rng=rng)
         adam_step(params, grads, state, tc)
-        return loss, grads
+        return loss
 
     trace = run_epochs(len(train), params, tc, step)
 

@@ -36,7 +36,7 @@ def adam_step(
     grads: ParameterSet,
     state: OptimizerState,
     tc: TrainConfig,
-) -> tuple[ParameterSet, OptimizerState]:
+) -> None:
     """One Adam update: m, v moments, bias correction, then the step.
 
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps), t incremented by 1.
@@ -73,7 +73,6 @@ def adam_step(
     state.m.flat[...] = m
     state.v.flat[...] = v
     state.t = t
-    return params, state
 
 
 def run_epochs(n_items: int, params: ParameterSet, tc: TrainConfig, step,
@@ -82,8 +81,8 @@ def run_epochs(n_items: int, params: ParameterSet, tc: TrainConfig, step,
 
     One rng seeded with tc.seed permutes the items each epoch and goes on to
     step(indexes, rng, state), which trains on one batch of at most
-    tc.batch_size and returns (loss, grads), or None for a batch with nothing
-    to predict.  An epoch in which no step ran raises EmptyBatch.
+    tc.batch_size and returns its loss, or None for a batch with nothing to
+    predict.  An epoch in which no step ran raises EmptyBatch.
     """
     rng = np.random.default_rng(tc.seed)
     state = OptimizerState.for_params(params)
@@ -92,13 +91,9 @@ def run_epochs(n_items: int, params: ParameterSet, tc: TrainConfig, step,
         order = rng.permutation(n_items)
         losses: list[float] = []
         for start in range(0, n_items, tc.batch_size):
-            result = step(order[start : start + tc.batch_size], rng, state)
-            if result is None:
-                continue
-            # grads stays bound until the next step returns: freeing a step's
-            # arrays first made replication pretraining 1.24x slower (ROADMAP)
-            loss, grads = result
-            losses.append(loss)
+            loss = step(order[start : start + tc.batch_size], rng, state)
+            if loss is not None:
+                losses.append(loss)
         if not losses:
             raise EmptyBatch(empty_message.format(epoch=epoch))
         trace.append(float(np.mean(losses)))

@@ -152,7 +152,7 @@ def run_pretraining(
         batch = trim_batch(mb.input_ids, mb.targets)
         loss, grads = compute_gradients(batch, params, config, "mlm", rng=rng)
         adam_step(params, grads, state, tc)
-        return loss, grads
+        return loss
 
     return params, run_epochs(
         len(windows), params, tc, step,

@@ -193,9 +193,3 @@ def run_replication_arm(spec: SynthSpec, seed: int) -> ReplicationResult:
         pretrain_trace=trace,
     )
 
-
-def run_replication_study(
-    seeds=(0, 1, 2, 3, 4), spec: SynthSpec | None = None
-) -> list[ReplicationResult]:
-    spec = spec or SynthSpec()
-    return [run_replication_arm(spec, seed) for seed in seeds]

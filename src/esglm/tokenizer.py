@@ -1,4 +1,4 @@
-"""WordPiece vocabulary training, text/id codecs, and fixed-length input prep.
+"""WordPiece vocabulary training, text-to-id encoding, and fixed-length input prep.
 
 Vocabulary training is frequency-based pair merging (BPE-style WordPiece)
 rather than likelihood-based: deterministic and adequate at desk scale.
@@ -247,27 +247,6 @@ def _encode_word(word: str, vocab: Vocab) -> list[int]:
         pieces.append(match)
         start = end
     return pieces
-
-
-def decode(ids, vocab: Vocab) -> str:
-    """Inverse of encode up to lowercasing and UNK loss.
-
-    "##" pieces concatenate onto the previous piece; other pieces join with
-    single spaces.  PAD/CLS/SEP/MASK are dropped; UNK keeps its surface form.
-    """
-    words: list[str] = []
-    for i in ids:
-        i = int(i)
-        if i < 0 or i >= len(vocab):
-            raise InvalidId(f"id {i} out of range for vocab of {len(vocab)}")
-        if i in (PAD_ID, CLS_ID, SEP_ID, MASK_ID):
-            continue
-        tok = vocab.tokens[i]
-        if tok.startswith("##") and words:
-            words[-1] += tok[2:]
-        else:
-            words.append(tok)
-    return " ".join(words)
 
 
 def prepare_input(token_ids, max_seq_len: int = 512) -> EncodedInput:

@@ -26,7 +26,6 @@ from esglm.extract import (
     ExtractionConfig,
     SentenceEmbedding,
     extract_top_k,
-    score_sentences,
     segment_sentences,
 )
 from esglm.harness import (
@@ -34,19 +33,20 @@ from esglm.harness import (
 )
 from esglm.model import IGNORE_INDEX, ModelConfig, init_params
 from esglm.pretrain import MaskingConfig, mask_batch
-from esglm.synth import run_replication_study
+from esglm.synth import SynthSpec, run_replication_arm
 from esglm.tokenizer import (
     UNK,
     UNK_ID,
     Vocab,
-    decode,
     encode,
     prepare_input,
     pretokenize,
     train_vocab,
 )
 
+from test_extract import score_sentences
 from test_model import TINY, finite_difference_check, random_batch
+from test_tokenizer import decode
 
 
 def report(n, text):
@@ -259,7 +259,7 @@ def test_criterion_5_baseline_exactness():
 
 def test_criterion_6_directional_replication():
     started = time.time()
-    results = run_replication_study(seeds=(0, 1, 2, 3, 4))
+    results = [run_replication_arm(SynthSpec(), seed) for seed in range(5)]
     elapsed = time.time() - started
     fresh = float(np.mean([r.fresh_test_accuracy for r in results]))
     adapted = float(np.mean([r.adapted_test_accuracy for r in results]))

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 import esglm
 from esglm import baselines
 from esglm.checkpoint import CheckpointMeta, load_checkpoint, save_checkpoint
-from esglm.cli import load_config, main
+from esglm.cli import PipelineConfig, load_config, main
 from esglm.data import load_manifest
 from esglm.extract import segment_sentences
 from esglm.tokenizer import Vocab, encode
@@ -109,6 +110,17 @@ class TestConfigFile:
         path.write_text("epochs=lots\n", encoding="utf-8")
         assert main(["vocab", "--config", str(path), "--corpus", "x",
                      "--out", "y"]) == 1
+
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    @pytest.mark.parametrize("key", [f.name for f in fields(PipelineConfig)
+                                     if isinstance(f.default, float)])
+    def test_non_finite_float_exit_1(self, tmp_path, capsys, key, value):
+        path = tmp_path / "c.cfg"
+        path.write_text(f"epochs=2\n{key}={value}\n", encoding="utf-8")
+        assert main(["vocab", "--config", str(path), "--corpus", "x",
+                     "--out", "y"]) == 1
+        err = capsys.readouterr().err
+        assert f"esglm: error: {path}: line 2: bad value {value!r} for {key}" in err
 
 
 class TestExitCodes:
@@ -337,6 +349,18 @@ class TestPipelineArtifacts:
         assert main(["evaluate", "--ckpt", str(pipeline_run / "pre.ckpt"),
                      "--data", str(pipeline_run / "data"),
                      "--metrics", str(tmp_path / "m.json")]) == 2
+
+    def test_evaluate_rejects_a_dataset_of_the_other_task(self, pipeline_run,
+                                                          tmp_path, capsys):
+        params, config, _ = load_checkpoint(pipeline_run / "pre.ckpt")
+        fin = tmp_path / "fin_b.ckpt"
+        save_checkpoint(params, config, CheckpointMeta(stage="finetuned_b", seed=0),
+                        fin)
+        assert main(["evaluate", "--ckpt", str(fin),
+                     "--data", str(pipeline_run / "data"),
+                     "--metrics", str(tmp_path / "m.json")]) == 2
+        assert "built for task 'a', not 'b'" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
     def test_baseline_models(self, pipeline_run, tmp_path):
         for model in ("common", "nb"):
@@ -645,6 +669,45 @@ class TestEmptySplit:
         assert_data_error(proc)
         assert "leave the test split empty" in proc.stderr
         assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("split, named", [
+    ("nan,0.5,0.5", "[nan, 0.5, 0.5]"), ("inf,0.5,0.5", "sum to inf"),
+])
+def test_dataset_rejects_a_split_fraction_that_is_not_finite(
+        pipeline_run, tmp_path, fixtures_dir, capsys, split, named):
+    code = main(["dataset", "--extracted", str(pipeline_run / "extracted.jsonl"),
+                 "--scores", str(fixtures_dir / "scores.csv"), "--task", "a",
+                 "--split", split, "--out", str(tmp_path / "data")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("esglm: error:") and named in err
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("max_seq_len", None), ("max_seq_len", "128"), ("max_seq_len", 0),
+    ("vocab_size", None), ("vocab_size", "100"),
+])
+def test_fresh_finetune_rejects_a_malformed_meta_json(
+        pipeline_run, tmp_path, fixtures_dir, capsys, key, value):
+    data = copy_data(pipeline_run, tmp_path)
+    meta = json.loads((data / "meta.json").read_text(encoding="utf-8"))
+    if value is None:
+        del meta[key]
+    else:
+        meta[key] = value
+    (data / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    code = main(["finetune", "--config", str(fixtures_dir / "fixture.cfg"),
+                 "--fresh", "--data", str(data), "--task", "a",
+                 "--out", str(tmp_path / "f.ckpt"),
+                 "--metrics", str(tmp_path / "m.json")])
+    captured = capsys.readouterr()
+    assert code == 2, captured.err
+    assert captured.err.startswith("esglm: error:")
+    assert "meta.json" in captured.err and key in captured.err
+    assert "epoch" not in captured.out  # rejected before any training
+    assert not (tmp_path / "m.json").exists()
 
 
 class TestMalformedVocabAndCheckpoint:

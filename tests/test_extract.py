@@ -15,10 +15,8 @@ from esglm.extract import (
     DanParams,
     ExtractionConfig,
     Sentence,
-    cosine_similarity,
     dan_embed,
     extract_top_k,
-    score_sentences,
     segment_sentences,
 )
 from esglm.tokenizer import Vocab, encode, prepare_input
@@ -34,6 +32,28 @@ def fresh_embedder(seed=0, d=6):
     rng = np.random.default_rng(seed)
     emb = rng.normal(size=(len(VOCAB), d))
     return DanEmbedder.from_token_embeddings(VOCAB, emb, seed=seed)
+
+
+def cosine_similarity(u, v) -> float:
+    """u.v / (|u||v|) of arrays or SentenceEmbeddings (whose flagged vectors
+    are zero); a zero vector ranks last via -inf."""
+    u = np.asarray(getattr(u, "vector", u), dtype=np.float64)
+    v = np.asarray(getattr(v, "vector", v), dtype=np.float64)
+    nu = np.linalg.norm(u)
+    nv = np.linalg.norm(v)
+    if nu == 0.0 or nv == 0.0:
+        return float("-inf")
+    return float(np.dot(u, v) / (nu * nv))
+
+
+def score_sentences(sentences, cfg, embedder) -> list[float]:
+    """Per-sentence relevance, one sentence at a time: max cosine over the
+    benchmark embeddings.  The brute-force reference for extract_top_k."""
+    benches = [embedder.embed(b) for b in cfg.benchmark_sentences]
+    return [
+        max(cosine_similarity(embedder.embed(s), b) for b in benches)
+        for s in sentences
+    ]
 
 
 class TestSegmentation:

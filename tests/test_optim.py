@@ -247,7 +247,7 @@ class TestRunEpochs:
 
         def step(take, rng, state):
             seen.append(take.tolist())
-            return float(len(take)), None
+            return float(len(take))
 
         trace = run_epochs(7, init_params(CFG, seed=0), tc, step)
         rng = np.random.default_rng(5)
@@ -260,7 +260,7 @@ class TestRunEpochs:
 
     def test_skipped_steps_leave_the_mean_to_the_others(self):
         def step(take, rng, state):
-            return None if 0 in take else (1.0, None)
+            return None if 0 in take else 1.0
 
         tc = TrainConfig(epochs=3, batch_size=1)
         assert run_epochs(4, init_params(CFG, seed=0), tc, step) == [1.0] * 3
