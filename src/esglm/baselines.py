@@ -14,29 +14,13 @@ from .errors import EmptyDataset, InvalidConfig
 from .tokenizer import pretokenize
 
 
-@dataclass(frozen=True)
-class CommonClassModel:
-    predicted_class: str
-
-
-def fit_predict_common_class(
-    train_labels: list[str], eval_labels: list[str]
-) -> tuple[CommonClassModel, float]:
-    """Majority-class predictor; ties go to the lexicographically smaller label.
-
-    Returns the model and its accuracy on eval_labels.  On the training
-    labels themselves the accuracy is exactly the majority frequency.
-    """
+def fit_common_class(train_labels: list[str]) -> str:
+    """The majority label; ties go to the lexicographically smaller label."""
     if not train_labels:
         raise EmptyDataset("no training labels")
     counts = Counter(train_labels)
     top = max(counts.values())
-    predicted = min(label for label, c in counts.items() if c == top)
-    model = CommonClassModel(predicted_class=predicted)
-    if not eval_labels:
-        return model, 0.0
-    accuracy = sum(1 for y in eval_labels if y == predicted) / len(eval_labels)
-    return model, accuracy
+    return min(label for label, c in counts.items() if c == top)
 
 
 @dataclass(frozen=True)
@@ -44,8 +28,6 @@ class NaiveBayesModel:
     classes: tuple[str, ...]
     log_priors: dict[str, float]
     log_likelihoods: dict[str, dict[str, float]]
-    vocabulary: frozenset[str]
-    alpha: float
 
 
 def word_bag(text: str) -> Counter:
@@ -82,8 +64,7 @@ def fit_naive_bayes(
             t: math.log((token_counts[c][t] + alpha) / denom) for t in vocabulary
         }
     return NaiveBayesModel(
-        classes=classes, log_priors=log_priors,
-        log_likelihoods=log_likelihoods, vocabulary=vocabulary, alpha=alpha,
+        classes=classes, log_priors=log_priors, log_likelihoods=log_likelihoods,
     )
 
 
@@ -97,7 +78,7 @@ def class_log_scores(model: NaiveBayesModel, bag: Counter) -> dict[str, float]:
         s = model.log_priors[c]
         lik = model.log_likelihoods[c]
         for t, n in bag.items():
-            if t in model.vocabulary:
+            if t in lik:
                 s += n * lik[t]
         scores[c] = s
     return scores

@@ -94,6 +94,7 @@ class PipelineConfig:
         if self.seq_len < 3:  # [CLS], one token, [SEP]
             raise InvalidConfig(f"seq_len must be >= 3, got {self.seq_len}")
         for name, least in (("seed", 0), ("dan_seed", 0), ("dan_dim", 0),
+                            ("min_freq", 1), ("change_epsilon", 0),
                             ("delta_bins", 1), ("sentlen_bin_width", 1)):
             value = getattr(self, name)
             if value < least:
@@ -321,17 +322,13 @@ def cmd_finetune(args, cfg: PipelineConfig) -> int:
             raise CheckpointMismatch(
                 f"cannot fine-tune from stage {ck_meta.stage!r}"
             )
-        if meta.get("vocab_size") and config.vocab_size != meta["vocab_size"]:
+        if config.vocab_size != meta["vocab_size"]:
             raise CheckpointMismatch(
                 f"checkpoint vocab {config.vocab_size} != dataset vocab "
                 f"{meta['vocab_size']}"
             )
         name = args.name or "domain_lm"
     else:
-        for key in ("vocab_size", "max_seq_len"):
-            if meta.get(key) is None:
-                raise DataError(f"{args.data}: meta.json has no {key}; "
-                                "cannot --fresh init")
         seq_len = max(cfg.seq_len, meta["max_seq_len"])
         config = model_config(replace(cfg, seq_len=seq_len), meta["vocab_size"])
         params = init_params(config, seed=cfg.seed)
@@ -358,12 +355,11 @@ def cmd_baseline(args, cfg: PipelineConfig) -> int:
         raise DataError(f"{args.data}: meta.json task {task!r} is not 'a' or 'b'")
     classes = data.TASK_CLASSES[task]
     if args.model == "common":
-        train_labels = [e.label(task) for e in splits["train"]]
-        model, _ = baselines.fit_predict_common_class(train_labels, train_labels)
-        name, echo = "common_class", {"predicted_class": model.predicted_class}
+        majority = baselines.fit_common_class([e.label(task) for e in splits["train"]])
+        name, echo = "common_class", {"predicted_class": majority}
 
         def predict(example):
-            return model.predicted_class
+            return majority
     else:
         train_rows = [
             (baselines.word_bag(e.text), e.label(task)) for e in splits["train"]

@@ -23,7 +23,6 @@ from .errors import (
     DataError,
     DuplicateError,
     EmptyDataset,
-    InsufficientHistory,
     InvalidConfig,
     InvalidInput,
     ParseError,
@@ -226,10 +225,6 @@ def derive_labels(series: ScoreSeries, change_epsilon: float = 0.0) -> list[Labe
     The label attaches to the later quarter of each pair.  A gap in the
     series produces no label across it.
     """
-    if len(series.points) < 2:
-        raise InsufficientHistory(
-            f"{series.ticker}: {len(series.points)} point(s), need 2"
-        )
     labels: list[LabelRow] = []
     for (y0, q0, s0), (y1, q1, s1) in zip(series.points, series.points[1:]):
         if (y1, q1) != _next_quarter(y0, q0):
@@ -247,11 +242,9 @@ def derive_labels(series: ScoreSeries, change_epsilon: float = 0.0) -> list[Labe
 def derive_all_labels(
     series_map: dict[str, ScoreSeries], change_epsilon: float = 0.0
 ) -> list[LabelRow]:
-    """derive_labels over every ticker; single-point series are skipped."""
+    """derive_labels over every ticker, in ticker order."""
     out: list[LabelRow] = []
     for ticker in sorted(series_map):
-        if len(series_map[ticker].points) < 2:
-            continue
         out.extend(derive_labels(series_map[ticker], change_epsilon))
     return out
 
@@ -262,19 +255,27 @@ def load_extracted(path) -> list[dict]:
     Each record comes back with just the fields build_dataset and the EDA
     read: the selected sentences joined into "text" and "input_ids" as an
     int64 array.  A line missing one of them, holding the wrong type,
-    padded otherwise than real_len says, or whose input_ids differ in length
-    from the first record's is an error naming the path and line.
+    padded otherwise than real_len says, with a vocab_size that is not a
+    positive integer, or whose input_ids length or vocab_size differs from
+    the first record's is an error naming the path and line.
     """
-    widths: list[int] = []  # the first record's input_ids length
+    first: list[int] = []  # the first record's input_ids length and vocab_size
 
     def parse(rec):
         ids = _checked_input_ids(
             np.asarray(rec["input_ids"], dtype=np.int64), int(rec["real_len"]))
-        if not widths:
-            widths.append(len(ids))
-        elif len(ids) != widths[0]:
+        vocab_size = rec["vocab_size"]
+        if type(vocab_size) is not int or vocab_size < 1:
+            raise InvalidInput(f"vocab_size must be a positive integer, "
+                               f"got {vocab_size!r}")
+        if not first:
+            first.extend((len(ids), vocab_size))
+        elif len(ids) != first[0]:
             raise InvalidInput(f"input_ids hold {len(ids)} ids, the first "
-                               f"record's {widths[0]}")
+                               f"record's {first[0]}")
+        elif vocab_size != first[1]:
+            raise InvalidInput(f"vocab_size {vocab_size}, the first record's "
+                               f"{first[1]}")
         return {
             "doc_id": str(rec["doc_id"]), "ticker": str(rec["ticker"]),
             "year": int(rec["year"]), "quarter": int(rec["quarter"]),
@@ -282,8 +283,8 @@ def load_extracted(path) -> list[dict]:
             "input_ids": ids,
             "real_len": int(rec["real_len"]),
             "sentence_token_lengths":
-                [int(n) for n in rec.get("sentence_token_lengths", [])],
-            "vocab_size": rec.get("vocab_size"),
+                [int(n) for n in rec["sentence_token_lengths"]],
+            "vocab_size": vocab_size,
         }
 
     records = read_jsonl(path, parse)
@@ -503,16 +504,16 @@ def load_dataset_splits(data_dir) -> tuple[dict, dict[str, list[LabeledExample]]
 
     A record missing a field, holding the wrong type or an unknown label is
     an error naming the file and line; so is a meta.json vocab_size or
-    max_seq_len that is neither null nor a positive integer.
+    max_seq_len that is not a positive integer.
     """
     data = Path(data_dir)
     if not (data / "meta.json").exists():
         raise DataError(f"{data_dir} has no meta.json")
 
     meta = read_json(data / "meta.json")
-    for key in ("vocab_size", "max_seq_len"):  # null: not recorded
+    for key in ("vocab_size", "max_seq_len"):
         value = meta.get(key)
-        if value is not None and (type(value) is not int or value < 1):
+        if type(value) is not int or value < 1:
             raise DataError(f"{data / 'meta.json'}: {key} must be a positive "
                             f"integer, got {value!r}")
 

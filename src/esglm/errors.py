@@ -41,10 +41,6 @@ class DuplicateError(DataError):
     pass
 
 
-class InsufficientHistory(DataError):
-    pass
-
-
 class EmptyDataset(DataError):
     pass
 

@@ -29,7 +29,7 @@ DEFAULT_BENCHMARK = (
 )
 
 # trailing-period exceptions; "et al" is matched against the raw text tail
-DEFAULT_ABBREVIATIONS = ("Inc", "Corp", "No", "U.S", "Mr", "Ms", "Dr", "et al")
+ABBREVIATIONS = ("Inc", "Corp", "No", "U.S", "Mr", "Ms", "Dr", "et al")
 
 _PERIOD_RUN = re.compile(r"\.\.*")  # \.+ would make re test every character
 
@@ -37,7 +37,6 @@ _PERIOD_RUN = re.compile(r"\.\.*")  # \.+ would make re test every character
 @dataclass(frozen=True)
 class Sentence:
     text: str
-    doc_offset: int
     index: int
 
 
@@ -70,10 +69,10 @@ class ExtractedInput:
     token_ids: list[int]
 
 
-def _is_abbreviation(text: str, period_pos: int, abbreviations: tuple) -> bool:
-    if not text.endswith(abbreviations, 0, period_pos):
+def _is_abbreviation(text: str, period_pos: int) -> bool:
+    if not text.endswith(ABBREVIATIONS, 0, period_pos):
         return False  # the common case, in one call
-    for ab in abbreviations:
+    for ab in ABBREVIATIONS:
         if text.endswith(ab, 0, period_pos):
             before = period_pos - len(ab) - 1
             if before < 0 or not (text[before].isalnum() or text[before] == "."):
@@ -81,9 +80,7 @@ def _is_abbreviation(text: str, period_pos: int, abbreviations: tuple) -> bool:
     return False
 
 
-def segment_sentences(
-    text: str, abbreviations=DEFAULT_ABBREVIATIONS
-) -> list[Sentence]:
+def segment_sentences(text: str) -> list[Sentence]:
     """Split on ./!/? runs followed by whitespace or end of text.
 
     A lone period does not split after a known abbreviation or between
@@ -91,24 +88,22 @@ def segment_sentences(
     segments are dropped.
     """
     boundaries: list[int] = []
-    n, abbreviations = len(text), tuple(abbreviations)
+    n = len(text)
     # "!" and "?" as "." (same positions), since re finds a literal fastest
     for run in _PERIOD_RUN.finditer(text.replace("!", ".").replace("?", ".")):
         start, end = run.span()
         if end < n and not text[end].isspace():
             continue  # mid-token punctuation such as "3.5" or "U.S."
         lone_period = end - start == 1 and text[start] == "."
-        if lone_period and _is_abbreviation(text, start, abbreviations):
+        if lone_period and _is_abbreviation(text, start):
             continue
         boundaries.append(end)
 
     sentences: list[Sentence] = []
     for seg_start, b in zip([0] + boundaries, boundaries + [n]):
-        raw = text[seg_start:b]
-        stripped = raw.strip()
+        stripped = text[seg_start:b].strip()
         if stripped:
-            offset = seg_start + (len(raw) - len(raw.lstrip()))
-            sentences.append(Sentence(stripped, offset, index=len(sentences)))
+            sentences.append(Sentence(stripped, index=len(sentences)))
     return sentences
 
 
@@ -223,14 +218,14 @@ def embed_benchmarks(cfg, embedder: DanEmbedder) -> tuple[np.ndarray, np.ndarray
 
 
 def extract_top_k(
-    doc, cfg: ExtractionConfig, embedder: DanEmbedder, bench=None
+    doc, cfg: ExtractionConfig, embedder: DanEmbedder, bench
 ) -> ExtractedInput:
     """Pick the top_k most benchmark-similar sentences of doc.
 
     Concatenates their token sequences in descending-score order (score
     ties go to the earlier sentence), ready for prepare_input.  doc is
     anything with a .text attribute, or a plain string.  bench is
-    embed_benchmarks(cfg, embedder), computed here if not given.
+    embed_benchmarks(cfg, embedder).
     """
     text = getattr(doc, "text", doc)
     sentences = segment_sentences(text)
@@ -238,7 +233,7 @@ def extract_top_k(
         raise EmptyDocument("document has no sentences")
     ids = [encode(s.text, embedder.vocab) for s in sentences]
     vectors, zero = embedder.embed_batch(ids)
-    bench_rows, bench_zero = bench or embed_benchmarks(cfg, embedder)
+    bench_rows, bench_zero = bench
     # multiply and sum, not a BLAS matrix-vector product, whose rounding
     # varies by row: equal rows must tie, and ties go to the earlier sentence
     sims = (vectors[:, None, :] * bench_rows).sum(axis=2)

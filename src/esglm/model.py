@@ -115,22 +115,20 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 class ParameterSet:
     """Named weight tensors: views, in `layout` order, into one flat buffer.
 
-    Zeroing, copying and the Adam update each run once over `flat`.
+    Zeroing and the Adam update each run once over `flat`.
     Assignment copies into a view; it never rebinds a name.  `offsets` maps
     each name to its first element in `flat`.
     """
 
-    def __init__(self, tensors: dict[str, np.ndarray], flat: np.ndarray | None = None):
-        """Copy tensors into a new buffer, or, given flat, view it in their shapes."""
-        if flat is None:
-            flat = np.concatenate([np.ravel(t) for t in tensors.values()])
+    def __init__(self, tensors: dict[str, np.ndarray]):
+        """Copy tensors into a new buffer."""
         self.layout = [(name, np.shape(t)) for name, t in tensors.items()]
         self.offsets: dict[str, int] = {}
         end = 0
         for name, shape in self.layout:
             start, end = end, end + math.prod(shape)
             self.offsets[name] = start
-        self._view(flat)
+        self._view(np.concatenate([np.ravel(t) for t in tensors.values()]))
 
     def _view(self, flat: np.ndarray) -> None:
         """Make flat the buffer, viewed at the recorded offsets in `layout` shapes."""
@@ -138,13 +136,6 @@ class ParameterSet:
         self.tensors: dict[str, np.ndarray] = {
             name: flat[start:start + math.prod(shape)].reshape(shape)
             for (name, shape), start in zip(self.layout, self.offsets.values())}
-
-    def _like(self, flat: np.ndarray) -> "ParameterSet":
-        """A set over flat that shares this one's layout and offsets."""
-        new = object.__new__(ParameterSet)
-        new.layout, new.offsets = self.layout, self.offsets
-        new._view(flat)
-        return new
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
@@ -155,12 +146,6 @@ class ParameterSet:
             if np.shape(value) != view.shape:
                 raise ShapeError(f"{name}: shape {np.shape(value)} != {view.shape}")
             view[...] = value
-
-    def __iter__(self):
-        return iter(self.tensors)
-
-    def names(self) -> list[str]:
-        return list(self.tensors)
 
     def stacked(self, *names: str) -> np.ndarray:
         """The named tensors as one (len(names), *shape) view of `flat`; they
@@ -174,10 +159,11 @@ class ParameterSet:
         return self.flat[start:start + len(names) * size].reshape(len(names), *shape)
 
     def zeros_like(self) -> "ParameterSet":
-        return self._like(np.zeros_like(self.flat))
-
-    def copy(self) -> "ParameterSet":
-        return self._like(self.flat.copy())
+        """A zeroed set that shares this one's layout and offsets."""
+        new = object.__new__(ParameterSet)
+        new.layout, new.offsets = self.layout, self.offsets
+        new._view(np.zeros_like(self.flat))
+        return new
 
 
 def _trunc_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
@@ -549,7 +535,7 @@ def forward_classify(hidden: np.ndarray, params: ParameterSet):
     return pooled @ params["cls.w"] + params["cls.b"], pooled
 
 
-def _cross_entropy_with_grad(logits, targets, ignore_index=IGNORE_INDEX):
+def _cross_entropy_with_grad(logits, targets):
     """(mean -log softmax(logits)[target] over non-ignored positions, dlogits);
     works in the logits buffer, which becomes dlogits."""
     logits = np.asarray(logits)
@@ -560,7 +546,7 @@ def _cross_entropy_with_grad(logits, targets, ignore_index=IGNORE_INDEX):
         )
     flat = logits.reshape(-1, logits.shape[-1])
     tgt = targets.reshape(-1)
-    kept = tgt != ignore_index
+    kept = tgt != IGNORE_INDEX
     n = int(kept.sum())
     if n == 0:
         raise EmptyBatch("all targets are ignored")

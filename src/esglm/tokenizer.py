@@ -58,12 +58,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.index
-
-    def id(self, token: str) -> int:
-        return self.index[token]
-
     def save(self, path) -> None:
         with artifact(path) as fh:
             fh.writelines(tok + "\n" for tok in self.tokens)

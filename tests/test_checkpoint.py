@@ -40,7 +40,7 @@ class TestRoundTrip:
         assert meta.stage == "pretrained"
         assert meta.seed == 7
         assert set(loaded.tensors) == set(params.tensors)
-        for name in params.names():
+        for name in params.tensors:
             assert loaded[name].dtype == np.float32
             assert np.array_equal(
                 loaded[name].view(np.uint32), params[name].view(np.uint32)

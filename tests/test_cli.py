@@ -4,7 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
@@ -13,8 +13,9 @@ import esglm
 from esglm import baselines
 from esglm.checkpoint import CheckpointMeta, load_checkpoint, save_checkpoint
 from esglm.cli import PipelineConfig, load_config, main
-from esglm.data import load_manifest
+from esglm.data import TASK_CLASSES, load_manifest
 from esglm.extract import segment_sentences
+from esglm.harness import confusion
 from esglm.tokenizer import Vocab, encode
 
 SPLIT_FILES = {"train": "train", "validation": "val", "test": "test"}
@@ -218,6 +219,15 @@ class TestConfigValues:
         err = capsys.readouterr().err
         assert code == 1, err
         assert "esglm: error:" in err
+        return err
+
+    def test_min_freq_below_one(self, tmp_path, fixtures_dir, capsys):
+        code = main(["vocab", "--config",
+                     self.config(tmp_path, fixtures_dir, "min_freq=0"),
+                     "--corpus", str(fixtures_dir / "corpus"),
+                     "--out", str(tmp_path / "vocab.txt")])
+        assert "min_freq" in self.assert_config_error(code, capsys)
+        assert not (tmp_path / "vocab.txt").exists()
 
     @pytest.mark.parametrize("overrides", [
         ("seq_len=2",), ("seed=-1",), ("mask_prob=nan",),
@@ -253,7 +263,7 @@ class TestConfigValues:
         assert not (tmp_path / "x.jsonl").exists()
 
     @pytest.mark.parametrize("overrides", [
-        ("delta_bins=0",), ("sentlen_bin_width=0",),
+        ("delta_bins=0",), ("sentlen_bin_width=0",), ("change_epsilon=-1",),
         ("split_mode=temporal", "group_by_ticker=true"),
     ])
     def test_dataset(self, overrides, pipeline_run, tmp_path, fixtures_dir,
@@ -263,7 +273,8 @@ class TestConfigValues:
                      "--extracted", str(pipeline_run / "extracted.jsonl"),
                      "--scores", str(fixtures_dir / "scores.csv"),
                      "--task", "a", "--out", str(tmp_path / "d")])
-        self.assert_config_error(code, capsys)
+        err = self.assert_config_error(code, capsys)
+        assert overrides[-1].split("=")[0] in err
         assert not (tmp_path / "d").exists()
 
     def test_negative_split_seed(self, pipeline_run, tmp_path, fixtures_dir, capsys):
@@ -435,12 +446,12 @@ def test_baselines_count_the_task_positive_class(pipeline_run, tmp_path,
         with open(data / f"{stem}.jsonl", encoding="utf-8") as fh:
             rows[split] = [json.loads(line) for line in fh]
     train_labels = [r[key] for r in rows["train"]]
-    majority, _ = baselines.fit_predict_common_class(train_labels, train_labels)
+    majority = baselines.fit_common_class(train_labels)
     nb = baselines.fit_naive_bayes(
         [(baselines.word_bag(r["text"]), r[key]) for r in rows["train"]]
     )
     predictors = {
-        "common": lambda r: majority.predicted_class,
+        "common": lambda r: majority,
         "nb": lambda r: baselines.predict(nb, baselines.word_bag(r["text"])),
     }
     for model, predict in predictors.items():
@@ -449,8 +460,14 @@ def test_baselines_count_the_task_positive_class(pipeline_run, tmp_path,
                      "--metrics", str(out)]) == 0
         got = json.loads(out.read_text())["splits"]
         for split, recs in rows.items():
-            want = hand_count([predict(r) for r in recs], [r[key] for r in recs], pos)
+            preds, labels = [predict(r) for r in recs], [r[key] for r in recs]
+            want = hand_count(preds, labels, pos)
             assert {k: got[split][k] for k in want} == want, (model, split)
+            # the whole row, as confusion scores it over class indexes
+            classes = TASK_CLASSES[task]
+            row = confusion([classes.index(p) for p in preds],
+                            [classes.index(y) for y in labels])
+            assert got[split] == asdict(row), (model, split)
 
 
 class TestMalformedRecords:
@@ -565,6 +582,42 @@ class TestMalformedRecords:
         assert_data_error(proc)
         assert f"{extracted}: line 2" in proc.stderr
         assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("edit, line, key", [
+        (lambda rec: rec.update(vocab_size="100"), 1, "vocab_size"),
+        (lambda rec: rec.update(vocab_size=0), 1, "vocab_size"),
+        (lambda rec: rec.update(vocab_size=True), 1, "vocab_size"),
+        (lambda rec: rec.pop("vocab_size"), 1, "vocab_size"),
+        (lambda rec: rec.update(vocab_size=rec["vocab_size"] + 1), 2, "vocab_size"),
+        (lambda rec: rec.pop("sentence_token_lengths"), 1, "sentence_token_lengths"),
+    ], ids=["text", "zero", "bool", "missing", "differs", "no_sentence_lengths"])
+    def test_extracted_vocab_size_and_sentence_lengths(
+            self, pipeline_run, tmp_path, fixtures_dir, capsys, edit, line, key):
+        extracted = tmp_path / "extracted.jsonl"
+        shutil.copy(pipeline_run / "extracted.jsonl", extracted)
+        rewrite_jsonl(extracted, edit)
+        code = main(["dataset", "--extracted", str(extracted),
+                     "--scores", str(fixtures_dir / "scores.csv"), "--task", "a",
+                     "--out", str(tmp_path / "data")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith(f"esglm: error: {extracted}: line {line}: ")
+        assert key in err
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("key", ["vocab_size", "max_seq_len"])
+    def test_meta_json_null(self, pipeline_run, tmp_path, capsys, key):
+        data = copy_data(pipeline_run, tmp_path)
+        meta = json.loads((data / "meta.json").read_text(encoding="utf-8"))
+        meta[key] = None
+        (data / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+        code = main(["baseline", "--data", str(data), "--model", "common",
+                     "--metrics", str(tmp_path / "m.json")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("esglm: error:")
+        assert "meta.json" in err and key in err
+        assert not (tmp_path / "m.json").exists()
 
     def test_metrics_without_task(self, pipeline_run, tmp_path):
         m = tmp_path / "m.json"

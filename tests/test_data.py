@@ -24,7 +24,6 @@ from esglm.errors import (
     DataError,
     DuplicateError,
     EmptyDataset,
-    InsufficientHistory,
     ParseError,
     StratificationError,
 )
@@ -152,9 +151,8 @@ class TestDeriveLabels:
         )
         assert out[0].task_a_label == "no_change"
 
-    def test_single_point_rejected(self):
-        with pytest.raises(InsufficientHistory):
-            derive_labels(series("A", (2015, 1, 10.0)))
+    def test_single_point_gives_no_labels(self):
+        assert derive_labels(series("A", (2015, 1, 10.0))) == []
 
     def test_label_count_equals_consecutive_pairs(self):
         rng = np.random.default_rng(0)

@@ -10,12 +10,13 @@ from esglm.cli import load_config
 from esglm.data import load_manifest
 from esglm.errors import EmptyDocument, InvalidConfig
 from esglm.extract import (
-    DEFAULT_ABBREVIATIONS,
+    ABBREVIATIONS,
     DanEmbedder,
     DanParams,
     ExtractionConfig,
     Sentence,
     dan_embed,
+    embed_benchmarks,
     extract_top_k,
     segment_sentences,
 )
@@ -102,13 +103,15 @@ class TestSegmentation:
         assert [s.text for s in got] == ["Yes...", "definitely."]
 
     def test_offsets_strictly_increasing_and_point_at_text(self):
+        # each sentence is found in the text after the one before it
         text = "  One here. Two there!  Three. "
         got = segment_sentences(text)
-        offsets = [s.doc_offset for s in got]
-        assert offsets == sorted(offsets)
-        assert len(set(offsets)) == len(offsets)
+        end = 0
         for s in got:
-            assert text[s.doc_offset] == s.text[0]
+            start = text.index(s.text, end)
+            assert not text[end:start].strip()
+            end = start + len(s.text)
+        assert not text[end:].strip()
         assert [s.index for s in got] == [0, 1, 2]
 
     def test_no_trailing_terminator(self):
@@ -116,12 +119,12 @@ class TestSegmentation:
         assert [s.text for s in got] == ["First one.", "Second without end"]
 
 
-def _reference_segment_sentences(text, abbreviations=DEFAULT_ABBREVIATIONS):
+def _reference_segment_sentences(text):
     """The per-character segmenter that the regex scan replaced."""
 
     def is_abbreviation(period_pos):
         head = text[:period_pos]
-        for ab in abbreviations:
+        for ab in ABBREVIATIONS:
             if head.endswith(ab):
                 before = period_pos - len(ab) - 1
                 if before < 0 or not (text[before].isalnum() or text[before] == "."):
@@ -154,21 +157,19 @@ def _reference_segment_sentences(text, abbreviations=DEFAULT_ABBREVIATIONS):
     for b in boundaries + [n]:
         if b < seg_start:
             continue
-        raw = text[seg_start:b]
-        stripped = raw.strip()
+        stripped = text[seg_start:b].strip()
         if stripped:
-            offset = seg_start + (len(raw) - len(raw.lstrip()))
-            sentences.append(Sentence(stripped, offset, len(sentences)))
+            sentences.append(Sentence(stripped, len(sentences)))
         seg_start = b
     return sentences
 
 
 # text as (head, terminator run, gap) triples, so that every rule meets
-# every context: digits around a period, each default abbreviation and
+# every context: digits around a period, each abbreviation and
 # look-alikes before a run, and runs followed by mixed whitespace or not
 SEGMENT_TEXT = st.lists(st.tuples(
     st.sampled_from(["", "a", "Z", "3", "14", "word", "_", "Xinc", "e.g", "u.s",
-                     *DEFAULT_ABBREVIATIONS]),
+                     *ABBREVIATIONS]),
     st.sampled_from(["", ".", "!", "?", "...", "?!", "!.", ".."]),
     st.sampled_from(["", " ", "  ", "\t", "\n", "\xa0", "\u2003", "\x1c", "5"]),
 ), max_size=25).map(lambda parts: "".join(map("".join, parts)))
@@ -242,10 +243,10 @@ def test_fixture_selections_match_the_per_sentence_reference(pipeline_run,
 class TestDanEmbed:
     def test_single_token_average_is_that_embedding(self):
         emb = np.zeros((len(VOCAB), 6))
-        emb[VOCAB.id("carbon")] = np.arange(6, dtype=float)
+        emb[VOCAB.index["carbon"]] = np.arange(6, dtype=float)
         e = fresh_embedder()
-        avg = emb[[VOCAB.id("carbon")]].mean(axis=0)
-        np.testing.assert_array_equal(avg, emb[VOCAB.id("carbon")])
+        avg = emb[[VOCAB.index["carbon"]]].mean(axis=0)
+        np.testing.assert_array_equal(avg, emb[VOCAB.index["carbon"]])
 
     def test_word_order_irrelevant(self):
         e = fresh_embedder(seed=1)
@@ -308,6 +309,11 @@ class TestCosine:
             assert -1.0 - 1e-12 <= cosine_similarity(u, v) <= 1.0 + 1e-12
 
 
+def top_k(doc, cfg, embedder):
+    """extract_top_k with cfg's benchmark rows, as cmd_extract calls it."""
+    return extract_top_k(doc, cfg, embedder, embed_benchmarks(cfg, embedder))
+
+
 def brute_force_top_k(sentences, scores, k):
     ranked = sorted(range(len(sentences)), key=lambda i: (-scores[i], i))
     return ranked[:k]
@@ -316,7 +322,7 @@ def brute_force_top_k(sentences, scores, k):
 class TestExtractTopK:
     def test_k_capped_at_sentence_count(self):
         e = fresh_embedder()
-        out = extract_top_k("Carbon fell. Water rose.", ExtractionConfig(top_k=3), e)
+        out = top_k("Carbon fell. Water rose.", ExtractionConfig(top_k=3), e)
         assert len(out.sentences) == 2
 
     def test_matches_brute_force_oracle(self):
@@ -332,14 +338,14 @@ class TestExtractTopK:
             segmented = segment_sentences(doc)
             scores = score_sentences(segmented, ExtractionConfig(), e)
             expect = brute_force_top_k(segmented, scores, 3)
-            got = extract_top_k(doc, ExtractionConfig(top_k=3), e)
+            got = top_k(doc, ExtractionConfig(top_k=3), e)
             assert [s.index for s in got.sentences] == expect
 
     def test_tie_break_prefers_earlier_sentence(self):
         e = fresh_embedder()
         bench = ExtractionConfig().benchmark_sentences[0]
         doc = " ".join(["Climate carbon water waste."] * 5)
-        out = extract_top_k(doc, ExtractionConfig(top_k=3), e)
+        out = top_k(doc, ExtractionConfig(top_k=3), e)
         assert [s.index for s in out.sentences] == [0, 1, 2]
 
     def test_selection_invariant_under_embedding_rescale(self):
@@ -363,10 +369,10 @@ class TestExtractTopK:
                "The office moved. Energy costs doubled.")
         cfg = ExtractionConfig(top_k=3)
         inner = fresh_embedder(seed=5)
-        base = extract_top_k(doc, cfg, inner)
+        base = top_k(doc, cfg, inner)
         assert base.token_ids
         for factor in (0.001, 42.0):
-            scaled = extract_top_k(doc, cfg, Scaled(inner, factor))
+            scaled = top_k(doc, cfg, Scaled(inner, factor))
             assert [s.index for s in scaled.sentences] == [
                 s.index for s in base.sentences
             ]
@@ -374,13 +380,13 @@ class TestExtractTopK:
     def test_output_feeds_prepare_input_at_512(self):
         e = fresh_embedder(seed=6)
         doc = " ".join(["Climate and water and waste and energy report."] * 40)
-        out = extract_top_k(doc, ExtractionConfig(), e)
+        out = top_k(doc, ExtractionConfig(), e)
         enc = prepare_input(out.token_ids, max_seq_len=512)
         assert len(enc.ids) == 512
 
     def test_empty_document_rejected(self):
         with pytest.raises(EmptyDocument):
-            extract_top_k("   ", ExtractionConfig(), fresh_embedder())
+            top_k("   ", ExtractionConfig(), fresh_embedder())
 
     def test_config_validation(self):
         with pytest.raises(InvalidConfig):

@@ -80,7 +80,7 @@ class TestEvaluate:
     def test_predictions_do_not_depend_on_padding_width(self):
         rng = np.random.default_rng(1)
         params = init_params(CFG, seed=2, dtype=np.float64)
-        for name in params.names():  # large weights, so both classes occur
+        for name in params.tensors:  # large weights, so both classes occur
             params[name] = rng.normal(0.0, 0.3, size=params[name].shape)
         params["cls.b"][:] = 0.0
         lengths = rng.integers(1, 11, size=40)

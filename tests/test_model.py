@@ -84,7 +84,7 @@ class TestConfigValidation:
 class TestInit:
     def test_shapes_match_config(self):
         params = tiny_params()
-        assert params.names() == list(parameter_shapes(TINY))
+        assert list(params.tensors) == list(parameter_shapes(TINY))
         for name, shape in parameter_shapes(TINY).items():
             assert params[name].shape == shape
 
@@ -357,14 +357,14 @@ class TestCrossEntropy:
         assert dlogits.tobytes() == want.tobytes()
 
 
-def _reference_cross_entropy(logits, targets, ignore_index=IGNORE_INDEX):
+def _reference_cross_entropy(logits, targets):
     """The loss and dlogits written out of place, as before the head's loss
     ran in the logits buffer; kept to pin its bits."""
     logits = np.asarray(logits)
     targets = np.asarray(targets)
     flat = logits.reshape(-1, logits.shape[-1])
     tgt = targets.reshape(-1)
-    kept = tgt != ignore_index
+    kept = tgt != IGNORE_INDEX
     n = int(kept.sum())
     if n == 0:
         raise EmptyBatch("all targets are ignored")
@@ -404,7 +404,7 @@ def spread_params(config, seed, dtype=np.float64):
     """
     rng = np.random.default_rng(seed)
     params = init_params(config, seed=seed, dtype=dtype)
-    for name in params.names():
+    for name in params.tensors:
         leaf = name.rsplit(".", 1)[-1]
         if leaf == "gain":
             t = 1.0 + 0.1 * rng.normal(size=params[name].shape)
@@ -426,7 +426,7 @@ def finite_difference_check(config, batch, objective, n_coords=100,
     params = spread_params(config, seed)
     _, grads = compute_gradients(batch, params, config, objective)
     rng = np.random.default_rng(seed + 1)
-    names = params.names()
+    names = list(params.tensors)
     max_rel = 0.0
     for _ in range(n_coords):
         name = names[rng.integers(len(names))]
@@ -453,8 +453,8 @@ class TestGradients:
         targets = np.full(ids.shape, IGNORE_INDEX)
         targets[0, 2] = 7
         _, grads = compute_gradients((ids, mask, targets), params, TINY, "mlm")
-        assert set(grads) == set(params.tensors)
-        for name in grads:
+        assert set(grads.tensors) == set(params.tensors)
+        for name in grads.tensors:
             assert grads[name].shape == params[name].shape
 
     def test_mlm_gradients_match_finite_differences(self):
@@ -536,8 +536,8 @@ def mlm_targets(rng, ids, mask, rate=0.4):
 
 
 def assert_same_gradients(got, want):
-    assert set(got) == set(want)
-    for name in want:
+    assert set(got.tensors) == set(want.tensors)
+    for name in want.tensors:
         np.testing.assert_allclose(got[name], want[name], rtol=1e-10,
                                    atol=1e-14, err_msg=name)
 
@@ -775,7 +775,7 @@ def assert_gradients_match_the_reference(objective, monkeypatch, config=DROP,
         _bits(eval_h), _bits(_reference_forward(*batch[:2], params, config)))
     assert loss == want_loss
     assert grads.flat.dtype == dtype
-    for name in want:
+    for name in want.tensors:
         np.testing.assert_array_equal(_bits(grads[name]), _bits(want[name]),
                                       err_msg=name)
 

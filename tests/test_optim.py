@@ -19,10 +19,10 @@ def scalar_setup(theta=1.0):
 
 def test_zero_gradient_leaves_params_unchanged():
     params = init_params(CFG, seed=0, dtype=np.float64)
-    before = params.copy()
+    before = ParameterSet(params.tensors)
     state = OptimizerState.for_params(params)
     adam_step(params, params.zeros_like(), state, TrainConfig())
-    for name in params.names():
+    for name in params.tensors:
         np.testing.assert_array_equal(params[name], before[name])
     assert state.t == 1
 
@@ -76,7 +76,7 @@ def test_moments_stay_nonnegative_and_shapes_mirror():
         grads = ParameterSet(
             {k: rng.normal(size=v.shape) for k, v in params.tensors.items()})
         adam_step(params, grads, state, TrainConfig(learning_rate=1e-3))
-    for name in params.names():
+    for name in params.tensors:
         assert state.v[name].shape == params[name].shape
         assert np.all(state.v[name] >= 0.0)
     assert state.t == 5
@@ -91,7 +91,7 @@ def test_nonfinite_update_raises():
 
 def _reference_adam_step(params, grads, state, tc):
     """The per-tensor Adam loop that the flat-buffer step replaced."""
-    if set(grads) != set(params.tensors):
+    if set(grads.tensors) != set(params.tensors):
         raise ShapeError("gradient names do not mirror parameters")
     state.t += 1
     b1, b2 = tc.adam_beta1, tc.adam_beta2
@@ -132,7 +132,7 @@ def bits(a):
 
 def test_flat_step_matches_the_per_tensor_loop_bit_for_bit():
     params = init_params(CFG, seed=3)  # float32, as in training
-    ref = params.copy()
+    ref = ParameterSet(params.tensors)
     state = OptimizerState.for_params(params)
     ref_state = OptimizerState.for_params(ref)
     tc = TrainConfig(learning_rate=1e-3)
@@ -156,7 +156,7 @@ def test_failed_step_changes_nothing():
         adam_step(params, mixed_gradients(params, rng), state, tc)
     before = (params.flat.copy(), state.m.flat.copy(), state.v.flat.copy())
     grads = mixed_gradients(params, rng)
-    last = params.names()[-1]
+    last = list(params.tensors)[-1]
     grads[last] = np.full(params[last].shape, np.inf)
     with pytest.raises(NumericError, match=f"parameter {last}$"):
         adam_step(params, grads, state, tc)
@@ -177,7 +177,7 @@ class TestParameterSet:
     def test_tensors_are_views_of_flat_in_order(self):
         params = init_params(CFG, seed=0)
         start = 0
-        for name in params:
+        for name in params.tensors:
             size = params[name].size
             np.testing.assert_array_equal(
                 params[name].ravel(), params.flat[start : start + size])
@@ -203,13 +203,13 @@ class TestParameterSet:
 
     def test_copy_and_zeros_like_share_no_memory(self):
         params = init_params(CFG, seed=0)
-        for other in (params.copy(), params.zeros_like()):
-            assert other.names() == params.names()
+        for other in (ParameterSet(params.tensors), params.zeros_like()):
+            assert list(other.tensors) == list(params.tensors)
             assert not np.shares_memory(other.flat, params.flat)
-            for name in params:
+            for name in params.tensors:
                 assert other[name].shape == params[name].shape
                 assert np.shares_memory(other[name], other.flat)
-        np.testing.assert_array_equal(params.copy().flat, params.flat)
+        np.testing.assert_array_equal(ParameterSet(params.tensors).flat, params.flat)
         assert not params.zeros_like().flat.any()
 
 

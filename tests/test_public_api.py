@@ -1,4 +1,5 @@
-"""Every public function and class in src/esglm has a caller outside tests/."""
+"""Every public function, class and method in src/esglm has a caller
+outside tests/."""
 
 import ast
 from collections import Counter
@@ -9,17 +10,19 @@ SRC = ROOT / "src" / "esglm"
 CALLER_DIRS = (SRC, ROOT / "bench", ROOT / "scripts")
 
 
-def _uses(tree: ast.AST) -> Counter:
+def _uses(tree: ast.AST, attributes_only: bool = False) -> Counter:
     """How often each identifier appears in tree as a name, an attribute, an
     imported name, or a string constant spelled as an identifier
-    (bench/layertrace.py wraps functions by module and name)."""
+    (bench/layertrace.py wraps functions by module and name).  A method is
+    reached only as an attribute or by name in a string, so attributes_only
+    skips plain and imported names."""
     found = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not attributes_only:
             found[node.id] += 1
         elif isinstance(node, ast.Attribute):
             found[node.attr] += 1
-        elif isinstance(node, ast.alias):
+        elif isinstance(node, ast.alias) and not attributes_only:
             found[node.name] += 1
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and node.value.isidentifier()):
@@ -33,10 +36,15 @@ def _trees(directory: Path):
             for p in sorted(directory.glob("*.py")) if p.name != "__init__.py"]
 
 
+def _callers(attributes_only: bool = False) -> Counter:
+    return sum((_uses(t, attributes_only) for d in CALLER_DIRS for t in _trees(d)),
+               Counter())
+
+
 def unused_public_names() -> list[str]:
     """module.name of each public top-level def or class in src/esglm that
     nothing in src/, bench/ or scripts/ refers to outside its own body."""
-    uses = sum((_uses(t) for d in CALLER_DIRS for t in _trees(d)), Counter())
+    uses = _callers()
     unused = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -47,6 +55,28 @@ def unused_public_names() -> list[str]:
     return unused
 
 
+def unused_public_methods() -> list[str]:
+    """module.Class.method of each public method of a public class in
+    src/esglm (dunders aside) that nothing in src/, bench/ or scripts/
+    reaches as an attribute or a string outside its own body."""
+    uses = _callers(attributes_only=True)
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.FunctionDef)
+                        and not node.name.startswith("_")
+                        and uses[node.name] == _uses(node, attributes_only=True)[node.name]):
+                    unused.append(f"{path.stem}.{cls.name}.{node.name}")
+    return unused
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
     assert unused_public_names() == []
+
+
+def test_every_public_method_has_a_caller_outside_the_tests():
+    assert unused_public_methods() == []
 
