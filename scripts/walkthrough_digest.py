@@ -13,9 +13,10 @@ one MLM `compute_gradients` step and the hidden states of one eval
 vocab 2,000, dropout 0.1, one padded row), where attention runs in chunks.
 Every path handed to the CLI is relative to OUT, so no absolute path ends
 up in an artifact and two runs into different directories can be diffed.
-Three `#` lines head the digest: the numpy, BLAS and Python versions, on
-which the float bits depend.  esglm is imported from PYTHONPATH, so the
-same script digests any checkout:
+Four `#` lines head the digest: the numpy and BLAS versions, the BLAS
+thread count (a matmul's sums are split across threads) and the Python
+version, on which the float bits depend.  esglm is imported from
+PYTHONPATH, so the same script digests any checkout:
 
     PYTHONPATH=src python3 scripts/walkthrough_digest.py OUT > new.txt
     PYTHONPATH=/path/to/other/src python3 scripts/walkthrough_digest.py OUT2 > old.txt
@@ -135,7 +136,19 @@ def machine_header() -> list[str]:
     except (KeyError, TypeError):
         blas = "unknown"
     return [f"# numpy {np.__version__}", f"# blas {blas}",
+            f"# blas threads {blas_threads()}",
             f"# python {platform.python_version()}"]
+
+
+def blas_threads() -> str:
+    """OPENBLAS_NUM_THREADS if set, else the number of CPUs this process
+    may run on, which is how many threads OpenBLAS starts by default."""
+    threads = os.environ.get("OPENBLAS_NUM_THREADS")
+    if threads:
+        return threads
+    if hasattr(os, "sched_getaffinity"):
+        return str(len(os.sched_getaffinity(0)))
+    return str(os.cpu_count())
 
 
 class StepFailed(RuntimeError):

@@ -304,9 +304,9 @@ def _print_accuracies(stage: str, metrics: Metrics) -> None:
 
 def _check_dataset_task(meta: dict, task: str | None) -> None:
     """Raise CheckpointMismatch when a given task is not meta.json's task."""
-    if task is not None and meta.get("task") not in (task, None):
+    if task is not None and meta["task"] != task:
         raise CheckpointMismatch(
-            f"dataset was built for task {meta.get('task')!r}, not {task!r}"
+            f"dataset was built for task {meta['task']!r}, not {task!r}"
         )
 
 
@@ -350,9 +350,7 @@ def cmd_finetune(args, cfg: PipelineConfig) -> int:
 def cmd_baseline(args, cfg: PipelineConfig) -> int:
     meta, splits = data.load_dataset_splits(args.data)
     _check_dataset_task(meta, args.task)
-    task = meta.get("task", args.task or "a")
-    if task not in data.TASK_CLASSES:
-        raise DataError(f"{args.data}: meta.json task {task!r} is not 'a' or 'b'")
+    task = meta["task"]
     classes = data.TASK_CLASSES[task]
     if args.model == "common":
         majority = baselines.fit_common_class([e.label(task) for e in splits["train"]])

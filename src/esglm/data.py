@@ -504,7 +504,8 @@ def load_dataset_splits(data_dir) -> tuple[dict, dict[str, list[LabeledExample]]
 
     A record missing a field, holding the wrong type or an unknown label is
     an error naming the file and line; so is a meta.json vocab_size or
-    max_seq_len that is not a positive integer.
+    max_seq_len that is not a positive integer, or a task that is missing
+    or not a key of TASK_CLASSES.
     """
     data = Path(data_dir)
     if not (data / "meta.json").exists():
@@ -516,6 +517,10 @@ def load_dataset_splits(data_dir) -> tuple[dict, dict[str, list[LabeledExample]]
         if type(value) is not int or value < 1:
             raise DataError(f"{data / 'meta.json'}: {key} must be a positive "
                             f"integer, got {value!r}")
+    task = meta.get("task")
+    if not isinstance(task, str) or task not in TASK_CLASSES:
+        raise DataError(f"{data / 'meta.json'}: task must be one of "
+                        f"{', '.join(map(repr, TASK_CLASSES))}, got {task!r}")
 
     def parse(rec) -> LabeledExample:
         ids = np.asarray(rec["input_ids"], dtype=np.int64)

@@ -90,7 +90,8 @@ def predict_labels(
     for start in range(0, len(examples), _EVAL_BATCH):
         chunk = examples[start : start + _EVAL_BATCH]
         ids, mask = trim_batch(np.stack([e.input_ids for e in chunk]))
-        hidden = encoder_forward(ids, mask, params, config)
+        cls = np.zeros((len(ids), 1), np.intp)  # the last layer runs at CLS only
+        hidden = encoder_forward(ids, mask, params, config, rows=cls)
         logits, _ = forward_classify(hidden, params)
         preds.append(np.argmax(logits, axis=-1))
     return np.concatenate(preds)

@@ -269,8 +269,9 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, s, h * dh)
 
 
-def _examples_per_chunk(q: np.ndarray) -> int:
-    return max(1, _SCORE_BUDGET // (q.shape[1] * q.shape[2] ** 2))
+def _examples_per_chunk(q: np.ndarray, k: np.ndarray) -> int:
+    """Examples whose (H, queries, keys) score blocks fit _SCORE_BUDGET."""
+    return max(1, _SCORE_BUDGET // (q.shape[1] * q.shape[2] * k.shape[2]))
 
 
 def _masked_scores(q, k, key_pad, scale):
@@ -286,12 +287,12 @@ def _attention(q, k, v, key_pad, scale):
     """Merged head outputs over chunks of whole examples, and what to cache:
     the probs when one chunk covers the batch, else each row's softmax max
     and sum, from which the backward rebuilds them."""
-    b, n = q.shape[0], _examples_per_chunk(q)
+    b, n = q.shape[0], _examples_per_chunk(q, k)
     if n >= b:
         probs = _masked_scores(q, k, key_pad, scale)
         _softmax(probs)
         return _merge_heads(probs @ v), {"probs": probs}
-    heads = np.empty(v.shape, v.dtype)
+    heads = np.empty(q.shape, v.dtype)
     row_max, row_sum = (np.empty((*q.shape[:3], 1), q.dtype) for _ in "ms")
     for e in (slice(c, c + n) for c in range(0, b, n)):
         probs = _masked_scores(q[e], k[e], key_pad[e], scale)
@@ -311,40 +312,58 @@ def _rebuilt_probs(q, k, lc, key_pad, scale, e: slice):
     return probs
 
 
-def _score_grads(probs, dctx, rowsum, q, k, v, scale, out):
-    """dq, dk, dv of softmax attention, written to out[0], out[1], out[2];
+def _score_grads(probs, dctx, rowsum, q, k, v, scale, dq, dk, dv):
+    """Gradients of softmax attention, written to the arrays dq, dk and dv;
     dscores is built in the dprobs buffer."""
-    np.matmul(probs.swapaxes(-1, -2), dctx, out=out[2])
+    np.matmul(probs.swapaxes(-1, -2), dctx, out=dv)
     dscores = dctx @ v.swapaxes(-1, -2)
     dscores -= rowsum
     dscores *= probs
-    np.matmul(dscores, k, out=out[0])
-    out[0] *= scale
-    np.matmul(dscores.swapaxes(-1, -2), q, out=out[1])
-    out[1] *= scale
+    np.matmul(dscores, k, out=dq)
+    dq *= scale
+    np.matmul(dscores.swapaxes(-1, -2), q, out=dk)
+    dk *= scale
 
 
-def _qkv_names(prefix: str, kind: str) -> tuple[str, str, str]:
-    """A layer's three Q/K/V weights ("w") or biases ("b"), back to back in flat."""
-    return tuple(f"{prefix}attn.{kind}{m}" for m in "qkv")
+def _qkv_names(prefix: str, kind: str, which: str = "qkv") -> tuple[str, ...]:
+    """A layer's Q/K/V weights ("w") or biases ("b") named in which, back to
+    back in flat."""
+    return tuple(f"{prefix}attn.{kind}{m}" for m in which)
 
 
-def _project_qkv(x, params, prefix, num_heads):
-    """q, k, v of one layer as (B, H, S, dh) views of one (3, B, S, d) projection."""
+def _project(x, params, prefix, num_heads, which):
+    """The projections named in which (of "qkv") as (B, H, S, dh) views of
+    one (len(which), B, S, d) array."""
     b, s, _ = x.shape
-    qkv = x @ params.stacked(*_qkv_names(prefix, "w"))[:, None]
-    qkv += params.stacked(*_qkv_names(prefix, "b"))[:, None, None]
-    return qkv.reshape(3, b, s, num_heads, -1).transpose(0, 1, 3, 2, 4)
+    out = x @ params.stacked(*_qkv_names(prefix, "w", which))[:, None]
+    out += params.stacked(*_qkv_names(prefix, "b", which))[:, None, None]
+    return out.reshape(len(which), b, s, num_heads, -1).transpose(0, 1, 3, 2, 4)
 
 
-def _dropout(x, rate, rng, cache_slot, key):
+def _project_qkv(x, params, prefix, num_heads, at=None):
+    """q, k, v of one layer from its (B, S, d) input x; given rows `at`, q
+    only at those rows."""
+    if at is None:
+        return tuple(_project(x, params, prefix, num_heads, "qkv"))
+    (q,) = _project(x[at], params, prefix, num_heads, "q")
+    k, v = _project(x, params, prefix, num_heads, "kv")
+    return q, k, v
+
+
+def _keep_mask(rng, rate, shape, at=None):
+    """Dropout's keep mask, drawn at the full (B, S, d) shape, so the rng
+    advances alike with and without rows, then taken at rows `at`."""
+    keep = rng.random(shape) >= rate
+    return keep if at is None else keep[at]
+
+
+def _dropout(x, rate, rng, cache_slot, key, shape, at=None):
     """Dropout at rate; caches the rng's state before the draw, from which
     the backward redraws the keep mask, bit for bit."""
     if rate <= 0.0:
         return x
     cache_slot[key] = rng.bit_generator.state
-    keep = rng.random(x.shape) >= rate
-    return x * keep / (1.0 - rate)
+    return x * _keep_mask(rng, rate, shape, at) / (1.0 - rate)
 
 
 def encoder_forward(
@@ -354,6 +373,7 @@ def encoder_forward(
     config: ModelConfig,
     rng: np.random.Generator | None = None,
     want_cache: bool = False,
+    rows: np.ndarray | None = None,
 ):
     """Batched encoder: (B, S) ids -> (B, S, d) hidden states.
 
@@ -361,6 +381,9 @@ def encoder_forward(
     are sliced.  PAD keys receive additive -inf before the softmax, so
     real positions are unaffected by padding length.  Given an rng, the
     forward is in train mode and applies dropout; without one it is eval.
+    Given rows, (B, m) distinct positions of each example, the last layer
+    runs only there: its keys and values come from every position, all
+    else of it exists at the m rows, and the forward returns (B, m, d).
     """
     ids = np.asarray(ids)
     attention_mask = np.asarray(attention_mask)
@@ -368,34 +391,38 @@ def encoder_forward(
         raise ShapeError(
             f"ids {ids.shape} / attention_mask {attention_mask.shape}"
         )
-    s = ids.shape[1]
+    b, s = ids.shape
     if s > config.max_seq_len:
         raise ShapeError(f"sequence length {s} > max_seq_len {config.max_seq_len}")
 
     drop = config.dropout_rate if rng is not None else 0.0
+    full = (b, s, config.hidden_dim)  # the shape every dropout mask is drawn at
+    at = None if rows is None else (np.arange(b)[:, None], rows)
 
-    cache: dict = {"ids": ids, "mask": attention_mask, "layers": [], "drop": {}}
+    cache: dict = {"ids": ids, "mask": attention_mask, "at": at, "layers": [],
+                   "drop": {}}
     key_pad = (attention_mask != 1)[:, None, None, :]
     scale = 1.0 / math.sqrt(config.head_dim)
 
     h = params["tok_emb"][ids] + params["pos_emb"][:s][None, :, :]
-    h = _dropout(h, drop, rng, cache["drop"], "emb")
+    h = _dropout(h, drop, rng, cache["drop"], "emb", full)
     cache["emb_out"] = h
 
     for i in range(config.num_layers):
         p = f"layers.{i}."
-        x = h
-        q, k, v = _project_qkv(x, params, p, config.num_heads)
+        last_at = at if i == config.num_layers - 1 else None
+        q, k, v = _project_qkv(h, params, p, config.num_heads, last_at)
+        x = h if last_at is None else h[last_at]
         ctx, softmax = _attention(q, k, v, key_pad, scale)
         attn = ctx @ params[p + "attn.wo"] + params[p + "attn.bo"]
-        attn = _dropout(attn, drop, rng, cache["drop"], f"attn{i}")
+        attn = _dropout(attn, drop, rng, cache["drop"], f"attn{i}", full, last_at)
         h1, ln1_cache = _layernorm(
             x + attn, params[p + "ln1.gain"], params[p + "ln1.bias"]
         )
         f1 = h1 @ params[p + "ffn.w1"] + params[p + "ffn.b1"]
         a, t = gelu(f1, with_tanh=True)
         f2 = a @ params[p + "ffn.w2"] + params[p + "ffn.b2"]
-        f2 = _dropout(f2, drop, rng, cache["drop"], f"ffn{i}")
+        f2 = _dropout(f2, drop, rng, cache["drop"], f"ffn{i}", full, last_at)
         h, ln2_cache = _layernorm(
             h1 + f2, params[p + "ln2.gain"], params[p + "ln2.bias"]
         )
@@ -426,26 +453,28 @@ def encoder_backward(
     def flat(x):
         return x.reshape(-1, x.shape[-1])
 
-    def undrop(dx, key):  # the backward of _dropout, with its mask redrawn
+    def undrop(dx, key, at=None):  # the backward of _dropout, with its mask redrawn
         state = cache["drop"].get(key)
         if state is None:
             return dx
         rng = np.random.Generator(getattr(np.random, state["bit_generator"])())
         rng.bit_generator.state = state
-        return dx * (rng.random(dx.shape) >= rate) / (1.0 - rate)
+        shape = (*cache["ids"].shape, dx.shape[-1])
+        return dx * _keep_mask(rng, rate, shape, at) / (1.0 - rate)
 
     def ln_out(name, ln_cache):  # a layernorm's output, as _layernorm formed it
         return params[name + ".gain"] * ln_cache[0] + params[name + ".bias"]
 
     for i in reversed(range(config.num_layers)):
         p = f"layers.{i}."
+        at = cache["at"] if i == config.num_layers - 1 else None
         lc = cache["layers"].pop()
         dres2, dg2, db2 = _layernorm_backward(dh, lc.pop("ln2"),
                                               params[p + "ln2.gain"])
         grads[p + "ln2.gain"] += dg2
         grads[p + "ln2.bias"] += db2
 
-        df2 = undrop(dres2, f"ffn{i}")
+        df2 = undrop(dres2, f"ffn{i}", at)
         a = 0.5 * lc["f1"] * (1.0 + lc["t"])  # gelu's own expression
         grads[p + "ffn.w2"] += flat(a).T @ flat(df2)
         del a
@@ -464,7 +493,7 @@ def encoder_backward(
         grads[p + "ln1.gain"] += dg1
         grads[p + "ln1.bias"] += db1
 
-        dattn = undrop(dres1, f"attn{i}")
+        dattn = undrop(dres1, f"attn{i}", at)
         grads[p + "attn.wo"] += flat(lc["ctx"]).T @ flat(dattn)
         grads[p + "attn.bo"] += np.add.reduce(dattn, axis=(0, 1))
         dctx = _split_heads(dattn @ params[p + "attn.wo"].T, config.num_heads)
@@ -478,24 +507,34 @@ def encoder_backward(
             f"layers.{i - 1}.ln2", cache["layers"][-1]["ln2"])
         # dq, dk, dv land in (B, H, S, dh) views of one (3, B, S, H, dh)
         # buffer, which then reads as (3, B, S, d) with heads merged
-        b, h, s, d_h = dctx.shape
+        b, s, d = x.shape
+        h, d_h = config.num_heads, config.head_dim
         dqkv = np.empty((3, b, s, h, d_h), dctx.dtype)
         heads = dqkv.transpose(0, 1, 3, 2, 4)
-        q, k, v = _project_qkv(x, params, p, config.num_heads)  # the forward's own
+        q, k, v = _project_qkv(x, params, p, h, at)  # the forward's own
+        dq = heads[0] if at is None else np.empty(q.shape, q.dtype)
         if "probs" in lc:
-            _score_grads(lc["probs"], dctx, rowsum, q, k, v, scale, heads)
+            _score_grads(lc["probs"], dctx, rowsum, q, k, v, scale, dq, heads[1],
+                         heads[2])
         else:  # chunk by chunk, as the forward ran
             key_pad = (cache["mask"] != 1)[:, None, None, :]
-            n = _examples_per_chunk(q)
+            n = _examples_per_chunk(q, k)
             for e in (slice(c, c + n) for c in range(0, b, n)):
                 _score_grads(_rebuilt_probs(q, k, lc, key_pad, scale, e), dctx[e],
-                             rowsum[e], q[e], k[e], v[e], scale, heads[:, e])
+                             rowsum[e], q[e], k[e], v[e], scale, dq[e], heads[1, e],
+                             heads[2, e])
         del q, k, v
-        dqkv = dqkv.reshape(3, b, s, h * d_h)
-        del dctx, heads, lc
+        if at is not None:  # only the rows had queries and a residual
+            dqkv[0] = 0.0
+            dqkv[0][at] = dq.transpose(0, 2, 1, 3)
+            full_dres1 = np.zeros(x.shape, x.dtype)
+            full_dres1[at] = dres1
+            dres1 = full_dres1
+        dqkv = dqkv.reshape(3, b, s, d)
+        del dctx, heads, dq, lc
 
         dw = grads.stacked(*_qkv_names(p, "w"))
-        dw += flat(x).T @ dqkv.reshape(3, -1, h * d_h)
+        dw += flat(x).T @ dqkv.reshape(3, -1, d)
         db = grads.stacked(*_qkv_names(p, "b"))
         db += np.add.reduce(dqkv, axis=(1, 2))
         del x
@@ -567,6 +606,22 @@ def _cross_entropy_with_grad(logits, targets):
     return loss, flat.reshape(logits.shape)
 
 
+def _mlm_rows(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, head) for a (B, S) MLM targets array.
+
+    rows (B, m) holds each example's target positions in ascending order,
+    then its other positions, up to the batch's largest target count m;
+    head (B, m) marks the slots that hold a target.  Taken at rows[head],
+    in (example, slot) order, targets reads as targets[targets != IGNORE_INDEX].
+    """
+    sel = targets != IGNORE_INDEX
+    count = sel.sum(axis=1)
+    if not count.any():
+        raise EmptyBatch("all targets are ignored")
+    rows = np.argsort(~sel, axis=1, kind="stable")[:, :count.max()]
+    return rows, np.arange(rows.shape[1]) < count[:, None]
+
+
 def compute_gradients(
     batch: tuple[np.ndarray, np.ndarray, np.ndarray],
     params: ParameterSet,
@@ -578,28 +633,33 @@ def compute_gradients(
 
     batch is (ids, attention_mask, targets): per-position original-token
     targets with IGNORE_INDEX sentinels for "mlm", shaped like ids (the
-    vocabulary head runs only where a target is set), per-example class
-    labels for "classify".  Gradients of parameters unused by the objective are
-    zero; an rng puts the forward in train mode, as in encoder_forward.
-    Returns (loss, grads) with grads mirroring the parameter shapes.
+    last encoder layer and the vocabulary head run only where a target is
+    set; see _mlm_rows), per-example class labels for "classify" (the last
+    layer runs only at the CLS position).  Gradients of parameters unused
+    by the objective are zero; an rng puts the forward in train mode, as in
+    encoder_forward.  Returns (loss, grads) with grads mirroring the
+    parameter shapes.
     """
     if objective not in ("mlm", "classify"):
         raise InvalidConfig(f"unknown objective {objective!r}")
     ids, mask, targets = (np.asarray(x) for x in batch)
-    if objective == "mlm" and targets.shape != ids.shape:
-        raise ShapeError(f"mlm targets {targets.shape} != ids {ids.shape}")
+    if objective == "mlm":
+        if targets.shape != ids.shape:
+            raise ShapeError(f"mlm targets {targets.shape} != ids {ids.shape}")
+        rows, head = _mlm_rows(targets)
+    else:  # the classifier reads only the CLS column
+        rows = np.zeros((len(ids), 1), np.intp)
     hidden, cache = encoder_forward(
-        ids, mask, params, config, rng=rng, want_cache=True
+        ids, mask, params, config, rng=rng, want_cache=True, rows=rows
     )
     grads = params.zeros_like()
     dh = np.zeros_like(hidden)
     if objective == "mlm":
-        # the vocabulary head runs only at positions that have a target
-        rows = targets != IGNORE_INDEX
-        picked = hidden[rows]
+        picked = hidden[head]
         logits = forward_mlm(picked, params)
-        loss, dlogits = _cross_entropy_with_grad(logits, targets[rows])
-        dh[rows] = dlogits @ params["tok_emb"]
+        loss, dlogits = _cross_entropy_with_grad(
+            logits, np.take_along_axis(targets, rows, axis=1)[head])
+        dh[head] = dlogits @ params["tok_emb"]
         # tied projection: the embedding matrix also collects the head grad
         grads["tok_emb"] += dlogits.T @ picked
         grads["mlm_bias"] += dlogits.sum(axis=0)

@@ -619,6 +619,24 @@ class TestMalformedRecords:
         assert "meta.json" in err and key in err
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("task", [None, "c", ["a"]],
+                             ids=["missing", "unknown", "list"])
+    def test_meta_json_task(self, pipeline_run, tmp_path, capsys, task):
+        # no task used to score the dataset as task a
+        data = copy_data(pipeline_run, tmp_path)
+        meta = json.loads((data / "meta.json").read_text(encoding="utf-8"))
+        if task is None:
+            del meta["task"]
+        else:
+            meta["task"] = task
+        (data / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+        code = main(["baseline", "--data", str(data), "--model", "common",
+                     "--metrics", str(tmp_path / "m.json")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith(f"esglm: error: {data / 'meta.json'}: task ")
+        assert not (tmp_path / "m.json").exists()
+
     def test_metrics_without_task(self, pipeline_run, tmp_path):
         m = tmp_path / "m.json"
         assert main(["baseline", "--data", str(pipeline_run / "data"),

@@ -1,6 +1,7 @@
 """The README walkthrough writes the bytes checked in as fixtures/walkthrough.sha256."""
 
 import importlib.util
+import os
 from pathlib import Path
 
 import pytest
@@ -43,3 +44,11 @@ def test_a_failed_step_exits_with_its_own_code(walkthrough_digest, tmp_path,
     assert walkthrough_digest.main([str(tmp_path)]) == 2
     assert "step vocab exited with 2" in capsys.readouterr().err
     assert walkthrough_digest.main([str(tmp_path)]) == 1  # out/ already exists
+
+
+def test_header_names_the_blas_thread_count(walkthrough_digest, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    assert "# blas threads 3" in walkthrough_digest.machine_header()
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    header = walkthrough_digest.machine_header()
+    assert f"# blas threads {len(os.sched_getaffinity(0))}" in header
