@@ -460,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, choices=("common", "nb"))
     p.add_argument("--metrics", required=True)
     p.add_argument("--task", default=None, choices=("a", "b"),
-                   help="must match meta.json's task; default: meta.json's, else a")
+                   help="must match meta.json's task; default: meta.json's")
 
     p = add("evaluate", cmd_evaluate, "evaluate a finetuned checkpoint")
     p.add_argument("--ckpt", required=True)

@@ -102,7 +102,7 @@ class LabeledExample:
             raise InvalidInput(
                 f"labels {self.task_a_label!r}, {self.task_b_label!r} are not "
                 f"in {TASK_A_CLASSES} and {TASK_B_CLASSES} or null")
-        _checked_input_ids(self.input_ids, self.real_len)
+        self.input_ids = _checked_input_ids(self.input_ids, self.real_len)
 
     def label(self, task: str) -> str:
         if task == "a":
@@ -115,12 +115,16 @@ class LabeledExample:
         return TASK_CLASSES[task].index(self.label(task))
 
 
-def _checked_input_ids(ids: np.ndarray, real_len: int) -> np.ndarray:
-    """ids, if flat, at least 3 long and PAD exactly from real_len on."""
-    if (np.ndim(ids) != 1 or len(ids) < max(real_len, 3)
+def _checked_input_ids(ids, real_len: int) -> np.ndarray:
+    """ids as an array, if flat integers, at least 3 long and PAD exactly
+    from the int real_len on."""
+    ids = np.asarray(ids)
+    if (type(real_len) is not int or ids.ndim != 1
+            or not np.issubdtype(ids.dtype, np.integer) or len(ids) < max(real_len, 3)
             or not np.array_equal(ids != PAD_ID, np.arange(len(ids)) < real_len)):
-        raise InvalidInput(f"input_ids of shape {np.shape(ids)} are not >= 3 flat ids "
-                           f"with PAD ({PAD_ID}) exactly from real_len {real_len} on")
+        raise InvalidInput(f"input_ids of dtype {ids.dtype} and shape {ids.shape} are "
+                           f"not >= 3 flat integer ids with PAD ({PAD_ID}) exactly "
+                           f"from the integer real_len {real_len!r} on")
     return ids
 
 
@@ -254,7 +258,7 @@ def load_extracted(path) -> list[dict]:
 
     Each record comes back with just the fields build_dataset and the EDA
     read: the selected sentences joined into "text" and "input_ids" as an
-    int64 array.  A line missing one of them, holding the wrong type,
+    integer array.  A line missing one of them, holding the wrong type,
     padded otherwise than real_len says, with a vocab_size that is not a
     positive integer, or whose input_ids length or vocab_size differs from
     the first record's is an error naming the path and line.
@@ -262,8 +266,7 @@ def load_extracted(path) -> list[dict]:
     first: list[int] = []  # the first record's input_ids length and vocab_size
 
     def parse(rec):
-        ids = _checked_input_ids(
-            np.asarray(rec["input_ids"], dtype=np.int64), int(rec["real_len"]))
+        ids = _checked_input_ids(rec["input_ids"], rec["real_len"])
         vocab_size = rec["vocab_size"]
         if type(vocab_size) is not int or vocab_size < 1:
             raise InvalidInput(f"vocab_size must be a positive integer, "
@@ -281,7 +284,7 @@ def load_extracted(path) -> list[dict]:
             "year": int(rec["year"]), "quarter": int(rec["quarter"]),
             "text": " ".join(s["text"] for s in rec["selected"]),
             "input_ids": ids,
-            "real_len": int(rec["real_len"]),
+            "real_len": rec["real_len"],
             "sentence_token_lengths":
                 [int(n) for n in rec["sentence_token_lengths"]],
             "vocab_size": vocab_size,
@@ -522,11 +525,7 @@ def load_dataset_splits(data_dir) -> tuple[dict, dict[str, list[LabeledExample]]
         raise DataError(f"{data / 'meta.json'}: task must be one of "
                         f"{', '.join(map(repr, TASK_CLASSES))}, got {task!r}")
 
-    def parse(rec) -> LabeledExample:
-        ids = np.asarray(rec["input_ids"], dtype=np.int64)
-        return LabeledExample(**{**rec, "input_ids": ids})
-
     return meta, {
-        name: read_jsonl(data / f"{stem}.jsonl", parse)
+        name: read_jsonl(data / f"{stem}.jsonl", lambda rec: LabeledExample(**rec))
         for name, stem in zip(SPLIT_NAMES, _SPLIT_FILES)
     }

@@ -350,20 +350,15 @@ def _project_qkv(x, params, prefix, num_heads, at=None):
     return q, k, v
 
 
-def _keep_mask(rng, rate, shape, at=None):
-    """Dropout's keep mask, drawn at the full (B, S, d) shape, so the rng
-    advances alike with and without rows, then taken at rows `at`."""
-    keep = rng.random(shape) >= rate
-    return keep if at is None else keep[at]
-
-
 def _dropout(x, rate, rng, cache_slot, key, shape, at=None):
-    """Dropout at rate; caches the rng's state before the draw, from which
-    the backward redraws the keep mask, bit for bit."""
+    """Dropout at rate.  The keep mask is drawn at the full (B, S, d) shape,
+    so the rng advances alike with and without rows, then taken at rows `at`
+    and cached for the backward."""
     if rate <= 0.0:
         return x
-    cache_slot[key] = rng.bit_generator.state
-    return x * _keep_mask(rng, rate, shape, at) / (1.0 - rate)
+    keep = rng.random(shape) >= rate
+    cache_slot[key] = keep if at is None else keep[at]
+    return x * cache_slot[key] / (1.0 - rate)
 
 
 def encoder_forward(
@@ -399,9 +394,9 @@ def encoder_forward(
     full = (b, s, config.hidden_dim)  # the shape every dropout mask is drawn at
     at = None if rows is None else (np.arange(b)[:, None], rows)
 
-    cache: dict = {"ids": ids, "mask": attention_mask, "at": at, "layers": [],
-                   "drop": {}}
     key_pad = (attention_mask != 1)[:, None, None, :]
+    cache: dict = {"ids": ids, "key_pad": key_pad, "at": at, "layers": [],
+                   "drop": {}}
     scale = 1.0 / math.sqrt(config.head_dim)
 
     h = params["tok_emb"][ids] + params["pos_emb"][:s][None, :, :]
@@ -453,14 +448,9 @@ def encoder_backward(
     def flat(x):
         return x.reshape(-1, x.shape[-1])
 
-    def undrop(dx, key, at=None):  # the backward of _dropout, with its mask redrawn
-        state = cache["drop"].get(key)
-        if state is None:
-            return dx
-        rng = np.random.Generator(getattr(np.random, state["bit_generator"])())
-        rng.bit_generator.state = state
-        shape = (*cache["ids"].shape, dx.shape[-1])
-        return dx * _keep_mask(rng, rate, shape, at) / (1.0 - rate)
+    def undrop(dx, key):  # the backward of _dropout, with the mask it cached
+        keep = cache["drop"].pop(key, None)
+        return dx if keep is None else dx * keep / (1.0 - rate)
 
     def ln_out(name, ln_cache):  # a layernorm's output, as _layernorm formed it
         return params[name + ".gain"] * ln_cache[0] + params[name + ".bias"]
@@ -474,7 +464,7 @@ def encoder_backward(
         grads[p + "ln2.gain"] += dg2
         grads[p + "ln2.bias"] += db2
 
-        df2 = undrop(dres2, f"ffn{i}", at)
+        df2 = undrop(dres2, f"ffn{i}")
         a = 0.5 * lc["f1"] * (1.0 + lc["t"])  # gelu's own expression
         grads[p + "ffn.w2"] += flat(a).T @ flat(df2)
         del a
@@ -493,7 +483,7 @@ def encoder_backward(
         grads[p + "ln1.gain"] += dg1
         grads[p + "ln1.bias"] += db1
 
-        dattn = undrop(dres1, f"attn{i}", at)
+        dattn = undrop(dres1, f"attn{i}")
         grads[p + "attn.wo"] += flat(lc["ctx"]).T @ flat(dattn)
         grads[p + "attn.bo"] += np.add.reduce(dattn, axis=(0, 1))
         dctx = _split_heads(dattn @ params[p + "attn.wo"].T, config.num_heads)
@@ -517,12 +507,11 @@ def encoder_backward(
             _score_grads(lc["probs"], dctx, rowsum, q, k, v, scale, dq, heads[1],
                          heads[2])
         else:  # chunk by chunk, as the forward ran
-            key_pad = (cache["mask"] != 1)[:, None, None, :]
             n = _examples_per_chunk(q, k)
             for e in (slice(c, c + n) for c in range(0, b, n)):
-                _score_grads(_rebuilt_probs(q, k, lc, key_pad, scale, e), dctx[e],
-                             rowsum[e], q[e], k[e], v[e], scale, dq[e], heads[1, e],
-                             heads[2, e])
+                _score_grads(_rebuilt_probs(q, k, lc, cache["key_pad"], scale, e),
+                             dctx[e], rowsum[e], q[e], k[e], v[e], scale, dq[e],
+                             heads[1, e], heads[2, e])
         del q, k, v
         if at is not None:  # only the rows had queries and a residual
             dqkv[0] = 0.0

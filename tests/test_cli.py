@@ -568,6 +568,41 @@ class TestMalformedRecords:
         assert_data_error(proc)
         assert f"{extracted}: line 1" in proc.stderr
 
+    @pytest.mark.parametrize("edit", [
+        lambda rec: rec["input_ids"].__setitem__(1, rec["input_ids"][1] + 0.5),
+        lambda rec: rec.update(real_len=float(rec["real_len"])),
+    ], ids=["fractional_id", "float_real_len"])
+    def test_extracted_line_with_numbers_that_are_not_integers(
+            self, pipeline_run, tmp_path, fixtures_dir, capsys, edit):
+        # an id of 1.5 used to be cut to 1, [UNK], with exit 0
+        extracted = tmp_path / "extracted.jsonl"
+        shutil.copy(pipeline_run / "extracted.jsonl", extracted)
+        rewrite_jsonl(extracted, edit)
+        code = main(["dataset", "--extracted", str(extracted),
+                     "--scores", str(fixtures_dir / "scores.csv"), "--task", "a",
+                     "--out", str(tmp_path / "data")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith(f"esglm: error: {extracted}: line 1: input_ids ")
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda rec: rec["input_ids"].__setitem__(1, rec["input_ids"][1] + 0.9),
+        lambda rec: rec.update(real_len=float(rec["real_len"])),
+    ], ids=["fractional_id", "float_real_len"])
+    def test_split_line_with_numbers_that_are_not_integers(
+            self, pipeline_run, tmp_path, capsys, edit):
+        # an id of 2.9 used to load as 2, and a real_len of 88.0 as a float
+        data = copy_data(pipeline_run, tmp_path)
+        rewrite_jsonl(data / "train.jsonl", edit)
+        code = main(["baseline", "--data", str(data), "--model", "common",
+                     "--metrics", str(tmp_path / "m.json")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith(
+            f"esglm: error: {data / 'train.jsonl'}: line 1: input_ids ")
+        assert not (tmp_path / "m.json").exists()
+
     def test_extracted_lines_of_different_lengths(self, pipeline_run, tmp_path,
                                                   fixtures_dir):
         extracted = tmp_path / "extracted.jsonl"

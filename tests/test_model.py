@@ -1115,17 +1115,27 @@ class TestMemory:
 
     def test_chunked_layer_cache_holds_no_projection_or_mask(self):
         # at S 512 each example is its own chunk: the backward rebuilds q,
-        # k and v from the layer input and redraws each dropout mask
-        ids, mask, _ = self.batch()
+        # k and v from the layer input and takes the PAD keys from the
+        # cached key_pad, not from an attention mask
+        ids, mask, targets = self.batch()
         params = init_params(WIDE, seed=0)
         _, cache = encoder_forward(ids[:2], mask[:2], params, WIDE,
                                    rng=np.random.default_rng(1), want_cache=True)
         for lc in cache["layers"]:
             assert "row_max" in lc and not {"q", "k", "v"} & set(lc), sorted(lc)
-        assert sorted(cache["drop"]) == ["attn0", "attn1", "emb", "ffn0", "ffn1"]
-        for key, state in cache["drop"].items():
-            assert isinstance(state, dict), key
-            assert not any(isinstance(v, np.ndarray) for v in state.values()), key
+        assert "mask" not in cache, sorted(cache)
+        # dropout caches its bool keep masks; given rows, the last layer's
+        # only at the rows
+        rows, _ = model._mlm_rows(targets[:2])
+        _, at_rows = encoder_forward(ids[:2], mask[:2], params, WIDE,
+                                     rng=np.random.default_rng(1), want_cache=True,
+                                     rows=rows)
+        s, d = WIDE.max_seq_len, WIDE.hidden_dim
+        for c, m in ((cache, s), (at_rows, rows.shape[1])):
+            assert sorted(c["drop"]) == ["attn0", "attn1", "emb", "ffn0", "ffn1"]
+            for key, keep in c["drop"].items():
+                assert keep.dtype == np.bool_, key
+                assert keep.shape == (2, m if key in ("attn1", "ffn1") else s, d), key
 
     def test_backward_consumes_the_layer_cache(self):
         ids, mask, _ = self.batch()
@@ -1136,6 +1146,7 @@ class TestMemory:
         encoder_backward(np.ones_like(hidden), cache, params, WIDE,
                          params.zeros_like())
         assert cache["layers"] == []
+        assert cache["drop"] == {}
 
     @staticmethod
     def paper_step_peak(objective) -> int:

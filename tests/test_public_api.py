@@ -1,5 +1,5 @@
-"""Every public function, class and method in src/esglm has a caller
-outside tests/."""
+"""Every function and class in src/esglm, and every public method, has a
+caller outside tests/."""
 
 import ast
 from collections import Counter
@@ -41,15 +41,18 @@ def _callers(attributes_only: bool = False) -> Counter:
                Counter())
 
 
-def unused_public_names() -> list[str]:
-    """module.name of each public top-level def or class in src/esglm that
-    nothing in src/, bench/ or scripts/ refers to outside its own body."""
+def unused_names(private: bool = False) -> list[str]:
+    """module.name of each public top-level def or class in src/esglm, or
+    each private one given private, that nothing in src/, bench/ or scripts/
+    refers to outside its own body."""
     uses = _callers()
+    if private:  # __init__ re-exports no private name: a use there is a call
+        uses += _uses(ast.parse((SRC / "__init__.py").read_text(encoding="utf-8")))
     unused = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")
+                    and node.name.startswith("_") == private
                     and uses[node.name] == _uses(node)[node.name]):
                 unused.append(f"{path.stem}.{node.name}")
     return unused
@@ -74,7 +77,11 @@ def unused_public_methods() -> list[str]:
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
-    assert unused_public_names() == []
+    assert unused_names() == []
+
+
+def test_every_private_name_has_a_caller_outside_the_tests():
+    assert unused_names(private=True) == []
 
 
 def test_every_public_method_has_a_caller_outside_the_tests():
