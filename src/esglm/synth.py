@@ -11,7 +11,7 @@ pretraining taught it that held-out and training words pattern together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,6 +49,7 @@ class SynthData:
     train: list[tuple[str, str]]
     val: list[tuple[str, str]]
     test: list[tuple[str, str]]
+    lexicon: dict[str, list[str]] = field(default_factory=dict)
 
 
 def _make_words(rng: np.random.Generator, count: int, taken: set[str]) -> list[str]:
@@ -116,6 +117,7 @@ def generate(spec: SynthSpec, seed: int) -> SynthData:
         train=examples(spec.n_train, pos[:k], neg[:k]),
         val=examples(spec.n_val, pos[:k], neg[:k]),
         test=examples(spec.n_test, pos[k:], neg[k:]),
+        lexicon={"pos": pos, "neg": neg, "neutral": neutral},
     )
     return data
 

@@ -1,16 +1,7 @@
-import numpy as np
-
 from esglm.synth import (
-    SynthSpec, _make_words, as_labeled_examples, generate, run_replication_arm,
+    SynthSpec, as_labeled_examples, generate, run_replication_arm,
 )
 from esglm.tokenizer import encode, train_vocab
-
-
-def hidden_lexicon(spec, seed) -> dict[str, list[str]]:
-    """The polarity and neutral words generate(spec, seed) draws first."""
-    rng, taken = np.random.default_rng(seed), set()
-    return {kind: _make_words(rng, n, taken) for kind, n in (
-        ("pos", spec.n_signal), ("neg", spec.n_signal), ("neutral", spec.n_neutral))}
 
 
 def test_generator_is_deterministic():
@@ -24,8 +15,8 @@ def test_generator_is_deterministic():
 
 def test_lexicon_partition():
     spec = SynthSpec()
-    lexicon = hidden_lexicon(spec, 0)
-    pos, neg, neutral = (lexicon[k] for k in ("pos", "neg", "neutral"))
+    data = generate(spec, 0)
+    pos, neg, neutral = (data.lexicon[k] for k in ("pos", "neg", "neutral"))
     assert len(pos) == len(neg) == spec.n_signal
     assert len(neutral) == spec.n_neutral
     all_words = pos + neg + neutral
@@ -34,10 +25,10 @@ def test_lexicon_partition():
 
 def test_labeled_splits_use_disjoint_signal_words():
     spec = SynthSpec()
-    data, lexicon = generate(spec, 1), hidden_lexicon(spec, 1)
+    data = generate(spec, 1)
     k = spec.n_train_signal
-    train_signal = set(lexicon["pos"][:k] + lexicon["neg"][:k])
-    held_out = set(lexicon["pos"][k:] + lexicon["neg"][k:])
+    train_signal = set(data.lexicon["pos"][:k] + data.lexicon["neg"][:k])
+    held_out = set(data.lexicon["pos"][k:] + data.lexicon["neg"][k:])
     train_words = {w.rstrip(".") for text, _ in data.train for w in text.split()}
     test_words = {w.rstrip(".") for text, _ in data.test for w in text.split()}
     assert not train_words & held_out
@@ -46,12 +37,12 @@ def test_labeled_splits_use_disjoint_signal_words():
 
 
 def test_corpus_covers_all_signal_words():
-    data, lexicon = generate(SynthSpec(), 2), hidden_lexicon(SynthSpec(), 2)
+    data = generate(SynthSpec(), 2)
     corpus_words = {
         w.rstrip(".") for doc in data.corpus for w in doc.split()
     }
     for kind in ("pos", "neg"):
-        missing = set(lexicon[kind]) - corpus_words
+        missing = set(data.lexicon[kind]) - corpus_words
         assert not missing, f"{kind} words never appear in the corpus: {missing}"
 
 
