@@ -8,10 +8,20 @@ from __future__ import annotations
 
 import json
 import os
+import reprlib
+import sys
+import types
+import typing
 from contextlib import contextmanager
+from functools import cache
 from pathlib import Path
 
-from .errors import DataError, ParseError
+from .errors import DataError, InvalidInput, ParseError
+
+_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string",
+               dict: "an object", list[int]: "a list of integers",
+               list[dict]: "a list of objects", (str, type(None)): "a string or null",
+               (dict, type(None)): "an object or null"}
 
 
 @contextmanager
@@ -49,31 +59,64 @@ def read_text(path, newline: str | None = None) -> str:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
 
 
-def read_json(path) -> dict:
+def _parsed(where, parse, raw: bytes):
+    """parse(the JSON object in raw), errors prefixed with where: a DataError
+    keeps its type; KeyError, TypeError, ValueError and bad JSON are ParseError."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: expected a JSON object")
-    return doc
+        doc = json.loads(raw)  # which decodes, inside the try
+        if type(doc) is not dict:
+            raise ParseError("expected a JSON object")
+        return parse(doc)
+    except DataError as exc:
+        raise type(exc)(f"{where}: {exc}") from None
+    except UnicodeDecodeError as exc:  # whose repr would hold every byte
+        raise ParseError(f"{where}: not UTF-8 text: {exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: {exc!r}") from None
+
+
+def read_json(path, parse):
+    return _parsed(path, parse, Path(path).read_bytes())
 
 
 def read_jsonl(path, parse) -> list:
-    """parse(record) for each non-blank line; errors name the path and line.
+    """parse(record) for each non-blank line; errors name the path and line."""
+    with open(path, "rb") as fh:
+        return [_parsed(f"{path}: line {lineno}", parse, line)
+                for lineno, line in enumerate(fh, start=1) if line.strip()]
 
-    Bad JSON, KeyError, TypeError and ValueError become ParseError; a
-    DataError from parse keeps its type.
-    """
-    out = []
-    with open(path, "rb") as fh:  # json.loads decodes, inside the try
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                out.append(parse(json.loads(line)))
-            except DataError as exc:
-                raise type(exc)(f"{path}: line {lineno}: {exc}") from None
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc!r}") from None
-    return out
+
+def _fits(value, kind) -> bool:
+    if type(kind) is types.GenericAlias:  # list[item]: each item exactly an item
+        return type(value) is list and set(map(type, value)) <= set(kind.__args__)
+    kinds = kind if type(kind) is tuple else (kind,)
+    if float in kinds and type(value) in (int, float):
+        return abs(value) <= sys.float_info.max  # False for NaN and infinities
+    return type(value) in kinds
+
+
+def typed(rec: dict, key: str, kind):
+    """rec[key] if its type is exactly kind: a type, a tuple of them, or
+    list[type] for a list of exactly that type.  A float also takes an int,
+    never a bool, and must be finite.  Else an InvalidInput naming key."""
+    if key not in rec:
+        raise InvalidInput(f"{key} is missing")
+    if not _fits(rec[key], kind):
+        raise InvalidInput(f"{key} must be {_KIND_NAMES[kind]}, "
+                           f"got {reprlib.repr(rec[key])}")
+    return rec[key]
+
+
+@cache
+def _field_kinds(cls) -> dict:
+    """Each dataclass field's kind from its annotation; X | None is (X, None)."""
+    return {name: typing.get_args(hint) or hint
+            for name, hint in typing.get_type_hints(cls).items()}
+
+
+def from_record(cls, rec: dict, **kinds):
+    """cls(**rec), once typed has passed each of cls's fields against its
+    annotation, or against kinds[name]; a key cls lacks stays a TypeError."""
+    for name, kind in _field_kinds(cls).items():
+        typed(rec, name, kinds.get(name, kind))
+    return cls(**rec)

@@ -24,10 +24,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .artifacts import artifact
+from .artifacts import artifact, from_record, typed
 from .errors import (
     CorruptCheckpoint,
     InvalidConfig,
+    InvalidInput,
     NotACheckpoint,
     UnsupportedVersion,
 )
@@ -112,13 +113,11 @@ def load_checkpoint(path) -> tuple[ParameterSet, ModelConfig, CheckpointMeta]:
     (meta_len,) = struct.unpack("<I", read(4, "meta length"))
     try:
         doc = json.loads(bytes(read(meta_len, "metadata")).decode("utf-8"))
-        config = ModelConfig(**doc.pop("model_config"))
-        meta = CheckpointMeta(**doc)
-    except (AttributeError, ValueError, KeyError, TypeError, InvalidConfig) as exc:
+        config = from_record(ModelConfig, typed(doc, "model_config", dict))
+        del doc["model_config"]
+        meta = from_record(CheckpointMeta, doc)
+    except (ValueError, TypeError, InvalidConfig, InvalidInput) as exc:
         raise CorruptCheckpoint(f"{path}: bad metadata: {exc}") from None
-    if not (isinstance(meta.stage, str) and type(meta.seed) is int
-            and isinstance(meta.train_config, (dict, type(None)))):
-        raise CorruptCheckpoint(f"{path}: bad metadata types: {meta}")
 
     (count,) = struct.unpack("<I", read(4, "tensor count"))
     tensors: dict[str, np.ndarray] = {}

@@ -415,64 +415,36 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="esglm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    path, task = {"required": True}, {"required": True, "choices": ("a", "b")}
 
-    def add(name, fn, help_text):
-        p = sub.add_parser(name, help=help_text)
+    def add(command, fn, help_text, /, **flags):
+        """A subcommand taking --config and then --flag for each of flags."""
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", default=None, help="key=value config file")
+        for flag, kw in flags.items():
+            p.add_argument(f"--{flag}", **kw)
         p.set_defaults(fn=fn)
-        return p
 
-    p = add("vocab", cmd_vocab, "train a WordPiece vocabulary from a corpus dir")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--size", type=int, default=None)
-
-    p = add("pretrain", cmd_pretrain, "MLM-adapt a fresh model on the corpus")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--out", required=True)
-
-    p = add("extract", cmd_extract, "relevance-extract excerpts from filings")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--out", required=True)
-
-    p = add("dataset", cmd_dataset, "join excerpts with score labels and split")
-    p.add_argument("--extracted", required=True)
-    p.add_argument("--scores", required=True)
-    p.add_argument("--task", required=True, choices=("a", "b"))
-    p.add_argument("--split", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
-
-    p = add("finetune", cmd_finetune, "fine-tune the classifier on a dataset")
-    p.add_argument("--ckpt", default=None)
-    p.add_argument("--fresh", action="store_true")
-    p.add_argument("--data", required=True)
-    p.add_argument("--task", required=True, choices=("a", "b"))
-    p.add_argument("--out", required=True)
-    p.add_argument("--metrics", required=True)
-    p.add_argument("--name", default=None)
-
-    p = add("baseline", cmd_baseline, "run a comparison model on a dataset")
-    p.add_argument("--data", required=True)
-    p.add_argument("--model", required=True, choices=("common", "nb"))
-    p.add_argument("--metrics", required=True)
-    p.add_argument("--task", default=None, choices=("a", "b"),
-                   help="must match meta.json's task; default: meta.json's")
-
-    p = add("evaluate", cmd_evaluate, "evaluate a finetuned checkpoint")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--metrics", required=True)
-    p.add_argument("--name", default="domain_lm")
-
-    p = add("report", cmd_report, "render Table-shaped reports from metrics")
-    p.add_argument("--metrics", nargs="+", required=True)
-    p.add_argument("--task", required=True, choices=("a", "b"))
-    p.add_argument("--out", required=True)
-
+    add("vocab", cmd_vocab, "train a WordPiece vocabulary from a corpus dir",
+        corpus=path, out=path, size={"type": int})
+    add("pretrain", cmd_pretrain, "MLM-adapt a fresh model on the corpus",
+        corpus=path, vocab=path, out=path)
+    add("extract", cmd_extract, "relevance-extract excerpts from filings",
+        manifest=path, vocab=path, ckpt=path, out=path)
+    add("dataset", cmd_dataset, "join excerpts with score labels and split",
+        extracted=path, scores=path, task=task, split={}, seed={"type": int},
+        out=path)
+    add("finetune", cmd_finetune, "fine-tune the classifier on a dataset",
+        ckpt={}, fresh={"action": "store_true"}, data=path, task=task, out=path,
+        metrics=path, name={})
+    add("baseline", cmd_baseline, "run a comparison model on a dataset",
+        data=path, model={"required": True, "choices": ("common", "nb")},
+        metrics=path, task={"choices": ("a", "b"), "help": "must match "
+                            "meta.json's task; default: meta.json's"})
+    add("evaluate", cmd_evaluate, "evaluate a finetuned checkpoint",
+        ckpt=path, data=path, metrics=path, name={"default": "domain_lm"})
+    add("report", cmd_report, "render Table-shaped reports from metrics",
+        metrics={"nargs": "+", "required": True}, task=task, out=path)
     return parser
 
 

@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import (
-    artifact, read_json, read_jsonl, read_text, write_json, write_jsonl,
+    artifact, from_record, read_json, read_jsonl, read_text, typed, write_json,
+    write_jsonl,
 )
 from .errors import (
     DataError,
@@ -62,15 +63,8 @@ class FilingDoc:
 @dataclass(frozen=True)
 class ScoreSeries:
     ticker: str
-    points: tuple[tuple[int, int, float], ...]  # (year, quarter, env_score)
-
-    def __post_init__(self):
-        keys = [(y, q) for y, q, _ in self.points]
-        if keys != sorted(keys) or len(set(keys)) != len(keys):
-            raise DataError(f"score series for {self.ticker} not strictly increasing")
-        for _, _, s in self.points:
-            if not np.isfinite(s):
-                raise DataError(f"non-finite score for {self.ticker}")
+    # (year, quarter, env_score): sorted, distinct and finite, as load_scores makes them
+    points: tuple[tuple[int, int, float], ...]
 
 
 @dataclass(frozen=True)
@@ -117,14 +111,14 @@ class LabeledExample:
 
 def _checked_input_ids(ids, real_len: int) -> np.ndarray:
     """ids as an array, if flat integers, at least 3 long and PAD exactly
-    from the int real_len on."""
+    from real_len on."""
     ids = np.asarray(ids)
-    if (type(real_len) is not int or ids.ndim != 1
-            or not np.issubdtype(ids.dtype, np.integer) or len(ids) < max(real_len, 3)
+    if (ids.ndim != 1 or not np.issubdtype(ids.dtype, np.integer)
+            or len(ids) < max(real_len, 3)
             or not np.array_equal(ids != PAD_ID, np.arange(len(ids)) < real_len)):
         raise InvalidInput(f"input_ids of dtype {ids.dtype} and shape {ids.shape} are "
                            f"not >= 3 flat integer ids with PAD ({PAD_ID}) exactly "
-                           f"from the integer real_len {real_len!r} on")
+                           f"from real_len {real_len} on")
     return ids
 
 
@@ -205,13 +199,14 @@ def load_manifest(path) -> list[FilingDoc]:
     seen: set[tuple[str, int, int]] = set()
 
     def parse(rec) -> FilingDoc:
-        key = (str(rec["ticker"]), int(rec["year"]), int(rec["quarter"]))
-        body_path = base / rec["path"]
+        key = (typed(rec, "ticker", str), typed(rec, "year", int),
+               typed(rec, "quarter", int))
+        body_path = base / typed(rec, "path", str)
         if key in seen:
             raise DuplicateError(f"duplicate {key}")
         seen.add(key)
         try:
-            text = body_path.read_text(encoding="utf-8")
+            text = read_text(body_path)
         except OSError as exc:
             raise DataError(str(exc)) from None
         return FilingDoc(*key, text=text)
@@ -258,19 +253,18 @@ def load_extracted(path) -> list[dict]:
 
     Each record comes back with just the fields build_dataset and the EDA
     read: the selected sentences joined into "text" and "input_ids" as an
-    integer array.  A line missing one of them, holding the wrong type,
-    padded otherwise than real_len says, with a vocab_size that is not a
-    positive integer, or whose input_ids length or vocab_size differs from
-    the first record's is an error naming the path and line.
+    integer array.  A line padded otherwise than real_len says, or whose
+    input_ids length or vocab_size differs from the first record's, is an
+    error naming the path and line.
     """
     first: list[int] = []  # the first record's input_ids length and vocab_size
 
     def parse(rec):
-        ids = _checked_input_ids(rec["input_ids"], rec["real_len"])
-        vocab_size = rec["vocab_size"]
-        if type(vocab_size) is not int or vocab_size < 1:
-            raise InvalidInput(f"vocab_size must be a positive integer, "
-                               f"got {vocab_size!r}")
+        real_len = typed(rec, "real_len", int)
+        ids = _checked_input_ids(typed(rec, "input_ids", list[int]), real_len)
+        vocab_size = typed(rec, "vocab_size", int)
+        if vocab_size < 1:
+            raise InvalidInput(f"vocab_size must be positive, got {vocab_size}")
         if not first:
             first.extend((len(ids), vocab_size))
         elif len(ids) != first[0]:
@@ -280,13 +274,13 @@ def load_extracted(path) -> list[dict]:
             raise InvalidInput(f"vocab_size {vocab_size}, the first record's "
                                f"{first[1]}")
         return {
-            "doc_id": str(rec["doc_id"]), "ticker": str(rec["ticker"]),
-            "year": int(rec["year"]), "quarter": int(rec["quarter"]),
-            "text": " ".join(s["text"] for s in rec["selected"]),
+            "doc_id": typed(rec, "doc_id", str), "ticker": typed(rec, "ticker", str),
+            "year": typed(rec, "year", int), "quarter": typed(rec, "quarter", int),
+            "text": " ".join(typed(s, "text", str)
+                             for s in typed(rec, "selected", list[dict])),
             "input_ids": ids,
-            "real_len": rec["real_len"],
-            "sentence_token_lengths":
-                [int(n) for n in rec["sentence_token_lengths"]],
+            "real_len": real_len,
+            "sentence_token_lengths": typed(rec, "sentence_token_lengths", list[int]),
             "vocab_size": vocab_size,
         }
 
@@ -505,27 +499,24 @@ def save_dataset_splits(
 def load_dataset_splits(data_dir) -> tuple[dict, dict[str, list[LabeledExample]]]:
     """Read meta.json and the three split files back, keyed by SPLIT_NAMES.
 
-    A record missing a field, holding the wrong type or an unknown label is
-    an error naming the file and line; so is a meta.json vocab_size or
-    max_seq_len that is not a positive integer, or a task that is missing
-    or not a key of TASK_CLASSES.
+    A split line with an unknown label or key, or a meta.json vocab_size or
+    max_seq_len below 1 or task not in TASK_CLASSES, is an error naming it.
     """
     data = Path(data_dir)
     if not (data / "meta.json").exists():
         raise DataError(f"{data_dir} has no meta.json")
 
-    meta = read_json(data / "meta.json")
-    for key in ("vocab_size", "max_seq_len"):
-        value = meta.get(key)
-        if type(value) is not int or value < 1:
-            raise DataError(f"{data / 'meta.json'}: {key} must be a positive "
-                            f"integer, got {value!r}")
-    task = meta.get("task")
-    if not isinstance(task, str) or task not in TASK_CLASSES:
-        raise DataError(f"{data / 'meta.json'}: task must be one of "
-                        f"{', '.join(map(repr, TASK_CLASSES))}, got {task!r}")
+    def parse_meta(meta):
+        for key in ("vocab_size", "max_seq_len"):
+            if typed(meta, key, int) < 1:
+                raise InvalidInput(f"{key} must be positive, got {meta[key]}")
+        if typed(meta, "task", str) not in TASK_CLASSES:
+            raise InvalidInput(f"task must be one of {', '.join(map(repr, TASK_CLASSES))}"
+                               f", got {meta['task']!r}")
+        return meta
 
-    return meta, {
-        name: read_jsonl(data / f"{stem}.jsonl", lambda rec: LabeledExample(**rec))
+    return read_json(data / "meta.json", parse_meta), {
+        name: read_jsonl(data / f"{stem}.jsonl",
+                         lambda rec: from_record(LabeledExample, rec, input_ids=list[int]))
         for name, stem in zip(SPLIT_NAMES, _SPLIT_FILES)
     }

@@ -8,20 +8,19 @@ between them is the starting weights.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import artifact, read_json, write_json
+from .artifacts import artifact, from_record, read_json, typed, write_json
 from .data import SPLIT_NAMES, LabeledExample
 from .errors import (
     CheckpointMismatch,
     EmptySplit,
     InvalidConfig,
     InvalidInput,
-    ParseError,
 )
 from .model import (
     ModelConfig,
@@ -61,23 +60,19 @@ class Metrics:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Metrics":
-        splits = {k: SplitMetrics(**v) for k, v in doc["splits"].items()}
-        for k in SPLIT_NAMES:  # the splits a report reads, each with numbers
-            s = splits[k]
-            splits[k] = SplitMetrics(float(s.accuracy), *map(int, astuple(s)[1:]))
-        return cls(model_name=doc["model_name"], task=doc["task"], splits=splits,
-                   config=doc.get("config", {}))
+        splits = typed(doc, "splits", dict)
+        return cls(
+            typed(doc, "model_name", str), typed(doc, "task", str),
+            {k: from_record(SplitMetrics, typed(splits, k, dict))
+             for k in SPLIT_NAMES},  # the splits a report reads
+            typed(doc, "config", dict))
 
     def save(self, path) -> None:
         write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "Metrics":
-        doc = read_json(path)
-        try:
-            return cls.from_dict(doc)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: {exc!r}") from None
+        return read_json(path, cls.from_dict)
 
 
 def predict_labels(

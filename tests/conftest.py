@@ -1,3 +1,5 @@
+import json
+import zlib
 from pathlib import Path
 
 import pytest
@@ -34,3 +36,18 @@ def pipeline_run(fixtures_dir, tmp_path_factory):
     for step in steps:
         assert main(step) == 0, f"pipeline step failed: {step[0]}"
     return out
+
+
+@pytest.fixture(scope="session")
+def edit_checkpoint_metadata():
+    """edit(path, change): apply change to a format 2 checkpoint's metadata
+    JSON in place and reseal its CRC32, so the edit reaches the reader."""
+    def edit(path, change):
+        raw = Path(path).read_bytes()
+        end = 12 + int.from_bytes(raw[8:12], "little")
+        doc = json.loads(raw[12:end])
+        change(doc)
+        meta = json.dumps(doc).encode("utf-8")
+        body = raw[:8] + len(meta).to_bytes(4, "little") + meta + raw[end:-4]
+        Path(path).write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
+    return edit

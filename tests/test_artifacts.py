@@ -1,11 +1,12 @@
 import ast
+import json
 from pathlib import Path
 
 import pytest
 
 import esglm
-from esglm.artifacts import read_json, read_jsonl, write_json, write_jsonl
-from esglm.errors import DuplicateError, ParseError
+from esglm.artifacts import read_json, read_jsonl, typed, write_json, write_jsonl
+from esglm.errors import DuplicateError, InvalidInput, ParseError
 
 SRC = Path(esglm.__file__).resolve().parent
 
@@ -39,7 +40,7 @@ class TestReaders:
         path = tmp_path / "list.json"
         path.write_text("[1, 2]", encoding="utf-8")
         with pytest.raises(ParseError, match="expected a JSON object"):
-            read_json(path)
+            read_json(path, dict)
 
     def test_read_jsonl_names_the_line(self, tmp_path):
         path = tmp_path / "recs.jsonl"
@@ -52,6 +53,14 @@ class TestReaders:
         path.write_bytes(b'{"x": 1}\n{"x": "\xff"}\n')
         with pytest.raises(ParseError, match="line 2"):
             read_jsonl(path, dict)
+
+    def test_read_json_names_a_file_that_is_not_utf8(self, tmp_path):
+        # without dumping the file's bytes, as UnicodeDecodeError's repr would
+        path = tmp_path / "meta.json"
+        path.write_bytes(b'{"x": "\xff' + b"y" * 100 + b'"}')
+        with pytest.raises(ParseError, match="meta.json: not UTF-8 text: ") as exc:
+            read_json(path, dict)
+        assert "yyyy" not in str(exc.value)
 
     def test_read_jsonl_keeps_data_error_type(self, tmp_path):
         path = tmp_path / "recs.jsonl"
@@ -74,6 +83,32 @@ class TestReaders:
             '{"a": 1, "b": 2}\n{"c": [3]}\n'
         )
         assert read_jsonl(path, dict) == recs
+
+
+@pytest.mark.parametrize("kind, text, ok", [
+    (int, "1", True), (int, "true", False), (int, "1.0", False),
+    (int, '"1"', False), (int, "null", False),
+    (float, "1", True), (float, "0.5", True), (float, "true", False),
+    (float, '"0.5"', False), (float, "NaN", False), (float, "Infinity", False),
+    (float, "1e400", False), (float, "1" + "0" * 400, False),
+    (str, '"a"', True), (str, "5", False),
+    ((str, type(None)), "null", True), ((str, type(None)), '"a"', True),
+    ((str, type(None)), "false", False),
+    (list[int], "[1, 2]", True), (list[int], "[1.9]", False),
+    (list[int], "[true]", False), (list[int], '{"0": 1}', False),
+])
+def test_typed_takes_exactly_its_kind(kind, text, ok):
+    rec = json.loads(f'{{"k": {text}}}')
+    if ok:
+        assert typed(rec, "k", kind) is rec["k"]
+    else:
+        with pytest.raises(InvalidInput, match="^k must be .*, got "):
+            typed(rec, "k", kind)
+
+
+def test_typed_names_a_missing_key():
+    with pytest.raises(InvalidInput, match="^k is missing$"):
+        typed({"j": 1}, "k", int)
 
 
 def _writes(tree: ast.AST) -> list[int]:

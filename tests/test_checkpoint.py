@@ -8,6 +8,7 @@ from esglm.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from esglm.cli import main
 from esglm.errors import (
     CorruptCheckpoint,
     NotACheckpoint,
@@ -197,3 +198,28 @@ class TestCrc:
         raw = path.read_bytes()
         assert int.from_bytes(raw[4:8], "little") == 2
         assert int.from_bytes(raw[-4:], "little") == zlib.crc32(raw[:-4])
+
+
+class TestModelConfigTypes:
+    """A model_config field of the wrong type is bad metadata: exit 2."""
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("num_layers", True, "num_layers must be an integer, got True"),
+        ("hidden_dim", 8.0, "hidden_dim must be an integer, got 8.0"),
+    ], ids=["num_layers_true", "hidden_dim_float"])
+    def test_evaluate_refuses_it(self, pipeline_run, tmp_path, capsys,
+                                 edit_checkpoint_metadata, key, value, named):
+        # true loaded as one layer and 8.0 as a float dimension, with exit 0
+        params, config, _ = load_checkpoint(pipeline_run / "pre.ckpt")
+        ckpt = tmp_path / "fin.ckpt"
+        save_checkpoint(params, config, CheckpointMeta(stage="finetuned_a", seed=0),
+                        ckpt)
+        edit_checkpoint_metadata(ckpt, lambda doc: doc["model_config"].update(
+            {key: value}))
+        code = main(["evaluate", "--ckpt", str(ckpt),
+                     "--data", str(pipeline_run / "data"),
+                     "--metrics", str(tmp_path / "m.json")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err == f"esglm: error: {ckpt}: bad metadata: {named}\n"
+        assert not (tmp_path / "m.json").exists()

@@ -568,12 +568,14 @@ class TestMalformedRecords:
         assert_data_error(proc)
         assert f"{extracted}: line 1" in proc.stderr
 
-    @pytest.mark.parametrize("edit", [
-        lambda rec: rec["input_ids"].__setitem__(1, rec["input_ids"][1] + 0.5),
-        lambda rec: rec.update(real_len=float(rec["real_len"])),
-    ], ids=["fractional_id", "float_real_len"])
+    @pytest.mark.parametrize("edit, key", [
+        (lambda rec: rec["input_ids"].__setitem__(1, rec["input_ids"][1] + 0.5),
+         "input_ids"),
+        (lambda rec: rec["input_ids"].__setitem__(1, True), "input_ids"),
+        (lambda rec: rec.update(real_len=float(rec["real_len"])), "real_len"),
+    ], ids=["fractional_id", "true_id", "float_real_len"])
     def test_extracted_line_with_numbers_that_are_not_integers(
-            self, pipeline_run, tmp_path, fixtures_dir, capsys, edit):
+            self, pipeline_run, tmp_path, fixtures_dir, capsys, edit, key):
         # an id of 1.5 used to be cut to 1, [UNK], with exit 0
         extracted = tmp_path / "extracted.jsonl"
         shutil.copy(pipeline_run / "extracted.jsonl", extracted)
@@ -583,15 +585,17 @@ class TestMalformedRecords:
                      "--out", str(tmp_path / "data")])
         err = capsys.readouterr().err
         assert code == 2, err
-        assert err.startswith(f"esglm: error: {extracted}: line 1: input_ids ")
+        assert err.startswith(f"esglm: error: {extracted}: line 1: {key} ")
         assert not (tmp_path / "data").exists()
 
-    @pytest.mark.parametrize("edit", [
-        lambda rec: rec["input_ids"].__setitem__(1, rec["input_ids"][1] + 0.9),
-        lambda rec: rec.update(real_len=float(rec["real_len"])),
-    ], ids=["fractional_id", "float_real_len"])
+    @pytest.mark.parametrize("edit, key", [
+        (lambda rec: rec["input_ids"].__setitem__(1, rec["input_ids"][1] + 0.9),
+         "input_ids"),
+        (lambda rec: rec["input_ids"].__setitem__(1, True), "input_ids"),
+        (lambda rec: rec.update(real_len=float(rec["real_len"])), "real_len"),
+    ], ids=["fractional_id", "true_id", "float_real_len"])
     def test_split_line_with_numbers_that_are_not_integers(
-            self, pipeline_run, tmp_path, capsys, edit):
+            self, pipeline_run, tmp_path, capsys, edit, key):
         # an id of 2.9 used to load as 2, and a real_len of 88.0 as a float
         data = copy_data(pipeline_run, tmp_path)
         rewrite_jsonl(data / "train.jsonl", edit)
@@ -600,7 +604,7 @@ class TestMalformedRecords:
         err = capsys.readouterr().err
         assert code == 2, err
         assert err.startswith(
-            f"esglm: error: {data / 'train.jsonl'}: line 1: input_ids ")
+            f"esglm: error: {data / 'train.jsonl'}: line 1: {key} ")
         assert not (tmp_path / "m.json").exists()
 
     def test_extracted_lines_of_different_lengths(self, pipeline_run, tmp_path,
@@ -682,6 +686,110 @@ class TestMalformedRecords:
         proc = run_cli("report", "--metrics", m, "--task", "a",
                        "--out", tmp_path / "r")
         assert_data_error(proc)
+
+    @pytest.mark.parametrize("key, value", [
+        ("year", 2019.7), ("quarter", True),
+    ], ids=["fractional_year", "quarter_true"])
+    def test_manifest_line_of_the_wrong_type(self, pipeline_run, tmp_path,
+                                             fixtures_dir, capsys, key, value):
+        # 2019.7 loaded as 2019 and true as Q1, with exit 0
+        first = json.loads((fixtures_dir / "filings.jsonl").read_text(
+            encoding="utf-8").splitlines()[0])
+        first.update({key: value, "path": str(fixtures_dir / first["path"])})
+        manifest = tmp_path / "filings.jsonl"
+        manifest.write_text(json.dumps(first) + "\n", encoding="utf-8")
+        code = main(["extract", "--config", str(fixtures_dir / "fixture.cfg"),
+                     "--manifest", str(manifest),
+                     "--vocab", str(pipeline_run / "vocab.txt"),
+                     "--ckpt", str(pipeline_run / "pre.ckpt"),
+                     "--out", str(tmp_path / "extracted.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith(f"esglm: error: {manifest}: line 1: {key} must be "
+                              f"an integer, got {value!r}")
+        assert "Traceback" not in err
+        assert not (tmp_path / "extracted.jsonl").exists()
+
+    def test_manifest_body_that_is_not_utf8(self, pipeline_run, tmp_path,
+                                            fixtures_dir, capsys):
+        # the message used to be a UnicodeDecodeError holding the whole body
+        body = tmp_path / "body.txt"
+        body.write_bytes(b"Emissions fell \xff" + b"x" * 5000 + b".")
+        manifest = tmp_path / "filings.jsonl"
+        manifest.write_text(json.dumps({"ticker": "ZZZ", "year": 2015,
+                                        "quarter": 1, "path": "body.txt"}) + "\n",
+                            encoding="utf-8")
+        code = main(["extract", "--config", str(fixtures_dir / "fixture.cfg"),
+                     "--manifest", str(manifest),
+                     "--vocab", str(pipeline_run / "vocab.txt"),
+                     "--ckpt", str(pipeline_run / "pre.ckpt"),
+                     "--out", str(tmp_path / "extracted.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith(
+            f"esglm: error: {manifest}: line 1: {body}: not UTF-8 text: ")
+        assert "xxxx" not in err and "\\xff" not in err
+
+    @pytest.mark.parametrize("key, value, kind", [
+        ("year", 2019.7, "an integer"), ("quarter", "2", "an integer"),
+        ("sentence_token_lengths", [1.9], "a list of integers"),
+    ], ids=["fractional_year", "text_quarter", "fractional_sentence_length"])
+    def test_extracted_line_of_the_wrong_type(self, pipeline_run, tmp_path,
+                                              fixtures_dir, capsys, key, value,
+                                              kind):
+        # each used to be cut to an int, with exit 0
+        extracted = tmp_path / "extracted.jsonl"
+        shutil.copy(pipeline_run / "extracted.jsonl", extracted)
+        rewrite_jsonl(extracted, lambda rec: rec.update({key: value}))
+        code = main(["dataset", "--extracted", str(extracted),
+                     "--scores", str(fixtures_dir / "scores.csv"), "--task", "a",
+                     "--out", str(tmp_path / "data")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err == (f"esglm: error: {extracted}: line 1: {key} must be {kind}, "
+                       f"got {value!r}\n")
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("model, key, value, kind", [
+        ("common", "year", 2019.5, "an integer"),
+        ("common", "delta", "0.3", "a finite number"),
+        ("nb", "text", 5, "a string"),
+    ], ids=["fractional_year", "text_delta", "nb_number_text"])
+    def test_split_line_of_the_wrong_type(self, pipeline_run, tmp_path, capsys,
+                                          model, key, value, kind):
+        # the first two loaded with exit 0; the third crashed in word_bag
+        data = copy_data(pipeline_run, tmp_path)
+        rewrite_jsonl(data / "train.jsonl", lambda rec: rec.update({key: value}))
+        code = main(["baseline", "--data", str(data), "--model", model,
+                     "--metrics", str(tmp_path / "m.json")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err == (f"esglm: error: {data / 'train.jsonl'}: line 1: {key} must "
+                       f"be {kind}, got {value!r}\n")
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("key, value, kind", [
+        ("accuracy", "0.5", "a finite number"),
+        ("accuracy", float("nan"), "a finite number"),
+        ("n", 3.7, "an integer"), ("tp", True, "an integer"),
+        ("fn", "2", "an integer"),
+    ], ids=["text_accuracy", "nan_accuracy", "fractional_n", "tp_true", "text_fn"])
+    def test_metrics_split_of_the_wrong_type(self, pipeline_run, tmp_path, capsys,
+                                             key, value, kind):
+        # each used to be cast to a float or an int and rendered, with exit 0
+        m = tmp_path / "m.json"
+        assert main(["baseline", "--data", str(pipeline_run / "data"),
+                     "--model", "common", "--metrics", str(m)]) == 0
+        doc = json.loads(m.read_text(encoding="utf-8"))
+        doc["splits"]["validation"][key] = value
+        m.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["report", "--metrics", str(m), "--task", "a",
+                     "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err == f"esglm: error: {m}: {key} must be {kind}, got {value!r}\n"
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("edit", [
         lambda splits: splits.pop("validation"),
